@@ -158,6 +158,12 @@ type session struct {
 	// lr is this region's cost-ledger bucket (nil when no ledger is
 	// attached; every method on a nil Region is a free no-op).
 	lr *ledger.Region
+
+	// Rendezvous scratch for the call in flight, leader goroutine only:
+	// the attached slots and their ballots, sized by the variant-set bound
+	// so that no rendezvous allocates for its own bookkeeping.
+	slotBuf   [MaxVariants - 1]*followerSlot
+	ballotBuf [MaxVariants - 1]ballot
 }
 
 func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
@@ -187,25 +193,16 @@ func newSession(mon *Monitor, fn string, delta int64, leaderTID int) *session {
 	return s
 }
 
-// attached returns the slots the policy has not severed, in slot order.
+// attached returns the slots the policy has not severed, in slot order,
+// in the session's scratch buffer (valid until the leader's next call).
 func (s *session) attached() []*followerSlot {
-	out := make([]*followerSlot, 0, len(s.slots))
+	out := s.slotBuf[:0]
 	for _, sl := range s.slots {
 		if !sl.detached() {
 			out = append(out, sl)
 		}
 	}
 	return out
-}
-
-// allDetached reports whether every slot has been severed.
-func (s *session) allDetached() bool {
-	for _, sl := range s.slots {
-		if !sl.detached() {
-			return false
-		}
-	}
-	return true
 }
 
 // allSlotsDead reports whether every slot's thread has terminated.
@@ -247,11 +244,6 @@ func (s *session) slotByTID(tid int) *followerSlot {
 	return nil
 }
 
-// abortFollower replies abort to a pending follower call.
-func abortFollower(rec *callRecord) {
-	rec.resp <- callResult{mode: modeAbort}
-}
-
 // rejectFollower answers a diverging rendezvous per the policy: kill-both
 // aborts the follower with ErrDivergence (the paper's behaviour),
 // containment detaches it. Detach bookkeeping runs before the reply so the
@@ -262,7 +254,7 @@ func (s *session) rejectFollower(sl *followerSlot, rec *callRecord, cause string
 		rec.resp <- callResult{mode: modeDetach}
 		return
 	}
-	abortFollower(rec)
+	rec.resp <- callResult{mode: modeAbort}
 }
 
 // tripTimeout wakes whoever is blocked on the session's rendezvous.
@@ -288,9 +280,9 @@ const (
 // deadline, or — the frozen-clock breaker — when the leader is waiting and
 // virtual time has stopped advancing entirely (a follower hung off-CPU
 // charges no cycles, so a purely virtual deadline would never fire).
-// Stalls that do charge cycles are caught deterministically at rendezvous
-// completion in leaderCall; the watchdog covers followers that never
-// arrive at all.
+// Stalls that do charge cycles are caught deterministically when the
+// rendezvous completes (see rendezvous); the watchdog covers followers
+// that never arrive at all.
 func (s *session) watch(deadline clock.Cycles) {
 	ticker := time.NewTicker(watchdogPoll)
 	defer ticker.Stop()
@@ -330,10 +322,8 @@ func (s *session) watch(deadline clock.Cycles) {
 	}
 }
 
-// leaderCall runs the leader's side of one lockstep libc call: wait for the
-// attached followers to arrive at their own calls, compare (pairwise with a
-// single follower, by majority vote with more), execute (leader-only for
-// kernel-facing calls), emulate results to the followers, and reply.
+// leaderCall runs the leader's side of one lockstep libc call: a full
+// rendezvous with every attached follower slot (see rendezvous).
 // Pipelined sessions branch into the run-ahead engine (pipeline.go).
 func (s *session) leaderCall(t *machine.Thread, name string, args []uint64) uint64 {
 	if s.pipelined {
@@ -341,448 +331,309 @@ func (s *session) leaderCall(t *machine.Thread, name string, args []uint64) uint
 	}
 	idx := s.calls.Add(1)
 	att := s.attached()
-	switch len(att) {
-	case 0:
+	if len(att) == 0 {
 		// Degraded single-variant mode after a policy detach: no
 		// rendezvous to charge or wait for. Under rollback the detach means
 		// a follower faulted — unwind instead of running un-replicated.
 		s.maybeAbortRegion(t, name, idx)
 		return s.mon.lib.Call(t, name, args)
-	case 1:
-		return s.leaderCallPair(t, name, args, att[0], idx)
-	default:
-		return s.leaderCallVote(t, name, args, att, idx)
 	}
+	return s.rendezvous(t, name, args, idx, att, false)
 }
 
-// leaderCallPair is the paper's two-party rendezvous against the one
-// remaining attached slot — the exact pairwise discipline the pair-shaped
-// monitor ran, byte for byte at Variants=2.
-func (s *session) leaderCallPair(t *machine.Thread, name string, args []uint64, sl *followerSlot, idx uint64) uint64 {
-	s.mon.m.ChargeThread(t, s.mon.m.Costs().LockstepRendezvous)
-	obsRec := s.mon.rec
-	waitStart := s.mon.m.Counter().Cycles()
+// ballot is one follower slot's half of a rendezvous: the lane its record
+// arrives on (the slot's strict lane, or a barrier record's reply), the
+// record, and — decoded once — the call it carries.
+type ballot struct {
+	slot *followerSlot
+	lane chan *callRecord
+	rec  *callRecord
+	name string
+	args []uint64
+}
+
+// rendezvous is the leader's one rendezvous engine, run for every strict
+// call and every pipelined barrier: collect each slot's record into the
+// session's ballot buffer, hold it against the deadline, decode it once,
+// compare — pairwise against a lone follower ballot, by majority vote with
+// more — then execute the call once and emulate its results to the
+// agreeing slots. A barrier first publishes its record on each slot's
+// ring; the slot hands its own record back once everything before it has
+// drained.
+//
+// A rendezvous that starts with a single slot keeps the paper's pair
+// discipline where it differs from the vote:
+//   - a blown strict deadline severs the slot at once instead of granting
+//     pipelineGrace;
+//   - the elapsed wait counts against the deadline next to the slot's lag;
+//   - the timeout against a missing slot carries the leader's snapshot;
+//   - a slot that never delivers skips the completion accounting, and a
+//     slot the leader severs leaves the call to run without unwinding the
+//     region here (the next call does).
+func (s *session) rendezvous(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, barrier bool) uint64 {
+	pair := len(slots) == 1
+	entry := s.mon.m.Costs().LockstepRendezvous * clock.Cycles(len(slots))
+	s.mon.m.ChargeThread(t, entry)
 	var span obs.RendezvousSpan
-	if obsRec != nil {
+	if obsRec := s.mon.rec; obsRec != nil {
+		if barrier {
+			obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
+		}
 		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
 			uint64(libc.CategoryOf(name)))
 	}
-
+	// The wait starts before a barrier record is appended, so it folds in
+	// any backpressure the record hit on a full ring.
+	waitStart := s.mon.m.Counter().Cycles()
+	ballots, ringMissed := s.openLanes(t, name, args, idx, slots, barrier, pair)
 	s.waitingSince.Store(int64(waitStart) + 1)
-	select {
-	case rec := <-sl.req:
-		s.waitingSince.Store(0)
-		now := s.mon.m.Counter().Cycles()
-		t.AddWaitCycles(now - waitStart)
-		if obsRec != nil {
-			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-			obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-				uint64(s.mon.m.Costs().LockstepRendezvous+(now-waitStart)))
-			obsRec.ObserveSeries(obs.SeriesRendezvous,
-				uint64(s.mon.m.Costs().LockstepRendezvous+(now-waitStart)))
+	ballots, missed := s.collect(t, name, idx, ballots, barrier, pair)
+	s.waitingSince.Store(0)
+	if pair && len(ballots) == 0 {
+		// The lone slot died or severed itself — under rollback the
+		// leader's own control flow is now suspect, so unwind — or it
+		// missed the deadline and was severed above.
+		if !ringMissed && !missed {
+			s.maybeAbortRegion(t, name, idx)
 		}
-		if lr := s.lr; lr != nil {
-			// The two charges below sum to exactly what the
-			// rendezvous.leader.cycles histogram observed above — the
-			// ledger/histogram reconciliation invariant.
-			cls := ledger.ClassOf(name)
-			lr.Add(ledger.PhaseRendezvous, obs.VariantLeader, cls,
-				s.mon.m.Costs().LockstepRendezvous, ledger.Mark{}, 0)
-			lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-				now-waitStart, ledger.Mark{}, 0)
-		}
-		if d := s.mon.opts.RendezvousDeadline; d > 0 && (rec.lag > d || now-waitStart > d) {
-			// The follower did arrive, but only after stalling past the
-			// deadline. rec.lag (the follower's own cycles since its last
-			// rendezvous) is the deterministic detector — it is independent
-			// of how the goroutines interleaved; the elapsed-wait check is a
-			// backstop for pathological multi-thread charging.
-			late := now - waitStart
-			if rec.lag > d {
-				late = rec.lag
-			}
-			ret := s.leaderTimedOut(t, name, args, sl, rec, idx, late)
-			span.End(ret)
-			return ret
-		}
-		ret := s.leaderPaired(t, name, args, sl, rec, idx)
-		span.End(ret)
-		return ret
-	case <-sl.dead:
-		s.waitingSince.Store(0)
-		// The follower died mid-region (e.g. faulted on a gadget
-		// address). The alarm is raised by the variant waiter; under
-		// rollback the region is unwound right here — the leader may be
-		// executing hijacked control flow — otherwise the leader continues
-		// un-replicated so the region can wind down.
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
 		ret := s.mon.lib.Call(t, name, args)
 		span.End(ret)
 		return ret
-	case <-s.timedOut:
-		s.waitingSince.Store(0)
-		ret := s.leaderTimedOut(t, name, args, sl, nil, idx, 0)
-		span.End(ret)
-		return ret
 	}
-}
+	wait := s.mon.m.Counter().Cycles() - waitStart
+	phase := ledger.PhaseRendezvous
+	if barrier {
+		phase = ledger.PhaseBarrier
+	}
+	s.settle(t, name, phase, entry, wait, 0)
 
-// slotArrival pairs a follower slot with the call record it published at a
-// multi-party rendezvous.
-type slotArrival struct {
-	slot *followerSlot
-	rec  *callRecord
-}
-
-// leaderCallVote runs an N-way strict rendezvous: collect every attached
-// slot's record (granting the pipeline grace window to stragglers once the
-// session deadline blows), then resolve by majority vote.
-func (s *session) leaderCallVote(t *machine.Thread, name string, args []uint64, att []*followerSlot, idx uint64) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepRendezvous*clock.Cycles(len(att)))
-	obsRec := s.mon.rec
-	waitStart := s.mon.m.Counter().Cycles()
-	var span obs.RendezvousSpan
-	if obsRec != nil {
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
-			uint64(libc.CategoryOf(name)))
-	}
-	s.waitingSince.Store(int64(waitStart) + 1)
-	arrivals := s.collectArrivals(t, att, name, idx)
-	s.waitingSince.Store(0)
-	now := s.mon.m.Counter().Cycles()
-	t.AddWaitCycles(now - waitStart)
-	if obsRec != nil {
-		obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-		obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(att))+(now-waitStart)))
-		obsRec.ObserveSeries(obs.SeriesRendezvous,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(att))+(now-waitStart)))
-	}
-	if lr := s.lr; lr != nil {
-		cls := ledger.ClassOf(name)
-		lr.Add(ledger.PhaseRendezvous, obs.VariantLeader, cls,
-			costs.LockstepRendezvous*clock.Cycles(len(att)), ledger.Mark{}, 0)
-		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-			now-waitStart, ledger.Mark{}, 0)
-	}
 	// Deadline verdicts per arrival: a slot that arrived but stalled past
-	// the deadline is severed exactly as the pairwise path would sever it.
+	// the deadline is severed. Its own lag (cycles since its previous
+	// rendezvous) is the deterministic detector, independent of how the
+	// goroutines interleaved; with a lone slot the elapsed wait is a
+	// backstop for pathological multi-thread charging.
 	if d := s.mon.opts.RendezvousDeadline; d > 0 {
-		kept := arrivals[:0]
-		for _, a := range arrivals {
-			if a.rec.lag > d {
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, FollowerCall: a.rec.name, Variant: VariantID(a.slot.id),
-					Detail: fmt.Sprintf("variant %d arrived %d cycles into a %d-cycle rendezvous deadline",
-						a.slot.id, a.rec.lag, d),
-				}, s.rendezvousSnapshots(t, a.rec)...)
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.rejectFollower(a.slot, a.rec, "rendezvous-timeout")
+		kept := ballots[:0]
+		for _, b := range ballots {
+			late := b.rec.lag
+			if pair && late <= d && wait > d {
+				late = wait
+			}
+			if late <= d {
+				kept = append(kept, b)
 				continue
 			}
-			kept = append(kept, a)
+			detail := fmt.Sprintf("variant %d arrived %d cycles into a %d-cycle rendezvous deadline",
+				b.slot.id, late, d)
+			if pair {
+				detail = fmt.Sprintf("follower arrived %d cycles into a %d-cycle rendezvous deadline", late, d)
+			}
+			s.reject(t, &b, Alarm{
+				Reason: AlarmRendezvousTimeout, CallIndex: idx,
+				LeaderCall: name, FollowerCall: b.rec.name, Detail: detail,
+			}, "rendezvous.timeout", "rendezvous-timeout")
 		}
-		arrivals = kept
+		ballots = kept
 	}
-	ret := s.voteResolve(t, name, args, arrivals, idx)
+	ret := s.resolve(t, name, args, idx, ballots, pair)
 	span.End(ret)
 	return ret
 }
 
-// collectArrivals waits for each attached slot's rendezvous record in slot
-// order. Once the session deadline trips, each remaining slot is granted
-// the pipeline grace window; a slot that still has not arrived is declared
-// wedged and severed with a timeout alarm.
-func (s *session) collectArrivals(t *machine.Thread, att []*followerSlot, name string, idx uint64) []slotArrival {
-	arrivals := make([]slotArrival, 0, len(att))
+// openLanes fills the session's ballot buffer with one lane per slot. A
+// strict rendezvous listens on each slot's own lane; a barrier publishes
+// its record on each slot's ring and listens on the record's reply. A slot
+// the barrier cannot reach casts no ballot: a dead one marks the region
+// diverged, and one whose ring stayed full past the deadline is severed
+// with a timeout (reported as missed).
+func (s *session) openLanes(t *machine.Thread, name string, args []uint64, idx uint64, slots []*followerSlot, barrier, pair bool) (lanes []ballot, missed bool) {
+	lanes = s.ballotBuf[:0]
+	var wire []byte
+	for _, sl := range slots {
+		if !barrier {
+			lanes = append(lanes, ballot{slot: sl, lane: sl.req})
+			continue
+		}
+		mshMark := s.lr.Mark()
+		if wire == nil {
+			wire = encodeCallRecord(name, args)
+		}
+		rec := &leaderRecord{
+			idx: idx, name: name, wire: wire,
+			cat: libc.CategoryOf(name), barrier: true,
+			reply: make(chan *callRecord, 1),
+		}
+		if lr := s.lr; lr != nil {
+			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name),
+				0, mshMark, uint64(len(rec.wire)))
+		}
+		switch s.appendRecord(t, sl, rec) {
+		case appendOK:
+			lanes = append(lanes, ballot{slot: sl, lane: rec.reply})
+		case appendDead:
+			s.diverged.Store(true)
+		case appendTimedOut:
+			if pair {
+				s.timeOut(t, sl, name, idx, true, s.missedDetail(sl, pair, barrier))
+			} else {
+				s.enqueueTimedOut(t, sl, name, idx)
+			}
+			missed = true
+		}
+	}
+	return lanes, missed
+}
+
+// collect waits for each lane's record in slot order and compacts the
+// ballots that arrived in place. Once the session deadline trips, each
+// remaining slot is granted pipelineGrace (a lone strict follower none);
+// a slot that still has not delivered is declared wedged and severed, and
+// missed reports that. A slot that dies instead marks the region
+// diverged; only barrier lanes watch for a slot severing itself at drain
+// time.
+func (s *session) collect(t *machine.Thread, name string, idx uint64, lanes []ballot, barrier, pair bool) (arrived []ballot, missed bool) {
+	arrived = lanes[:0]
 	graced := false
-	for _, sl := range att {
-		var rec *callRecord
+	for _, b := range lanes {
+		sl := b.slot
+		var detach chan struct{}
+		if barrier {
+			detach = sl.detachCh
+		}
 		if !graced {
 			select {
-			case rec = <-sl.req:
+			case b.rec = <-b.lane:
 			case <-sl.dead:
+				s.diverged.Store(true)
+			case <-detach:
 			case <-s.timedOut:
 				graced = true
 			}
 		}
-		if rec == nil && graced {
-			select {
-			case rec = <-sl.req:
-			case <-sl.dead:
-			case <-time.After(pipelineGrace):
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, Variant: VariantID(sl.id),
-					Detail: fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline",
-						sl.id, s.mon.opts.RendezvousDeadline),
-				})
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.mon.detachFollower(s, sl, "rendezvous-timeout")
+		if b.rec == nil && graced {
+			expired := pair && !barrier
+			if !expired {
+				select {
+				case b.rec = <-b.lane:
+				case <-sl.dead:
+					s.diverged.Store(true)
+				case <-detach:
+				case <-time.After(pipelineGrace):
+					expired = true
+				}
+			}
+			if expired {
+				s.timeOut(t, sl, name, idx, pair, s.missedDetail(sl, pair, barrier))
+				missed = true
 			}
 		}
-		if rec == nil {
-			select {
-			case <-sl.dead:
-				// The slot died instead of arriving; its variant waiter
-				// raises the follower-fault alarm.
-				s.diverged.Store(true)
-			default:
-			}
-			continue
+		if b.rec != nil {
+			arrived = append(arrived, b)
 		}
-		arrivals = append(arrivals, slotArrival{slot: sl, rec: rec})
 	}
-	return arrivals
+	return arrived, missed
 }
 
-// voteResolve finishes a multi-party rendezvous after collection: decode
-// each record, vote, quarantine the minority, and emulate results to the
-// majority. Shared by the strict N-way rendezvous and the pipelined
-// barrier.
-func (s *session) voteResolve(t *machine.Thread, name string, args []uint64, arrivals []slotArrival, idx uint64) uint64 {
-	if s.mon.snapshotDue(s) && len(arrivals) > 0 {
-		recs := make([]*callRecord, 0, len(arrivals))
-		for _, a := range arrivals {
-			recs = append(recs, a.rec)
+// missedDetail words the timeout against a slot the leader waited on in
+// vain: a lone follower keeps the pair wording, a slot of a larger set is
+// named by its index.
+func (s *session) missedDetail(sl *followerSlot, pair, barrier bool) string {
+	d := s.mon.opts.RendezvousDeadline
+	switch {
+	case pair:
+		return fmt.Sprintf("follower missed the %d-cycle rendezvous deadline", d)
+	case barrier:
+		return fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline at a barrier", sl.id, d)
+	default:
+		return fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline", sl.id, d)
+	}
+}
+
+// settle books one completed leader step: entry is the fixed cost charged
+// on entering phase, wait the cycles the leader then spent blocked. The
+// rendezvous.leader.cycles observation is exactly the sum of the two
+// ledger charges — the ledger/histogram reconciliation invariant. An
+// enqueue also records the run-ahead ring depth; its blocked wait was
+// already booked by appendRecord.
+func (s *session) settle(t *machine.Thread, name string, phase ledger.Phase, entry, wait clock.Cycles, depth int) {
+	enqueue := phase == ledger.PhaseEnqueue
+	if !enqueue {
+		t.AddWaitCycles(wait)
+	}
+	if obsRec := s.mon.rec; obsRec != nil {
+		m := obsRec.Metrics()
+		if !enqueue {
+			m.Observe("lockstep.wait.cycles", uint64(wait))
 		}
-		s.mon.captureCheckpoint(s, t, recs, name, idx)
+		m.Observe(obs.MetricRendezvousLeaderCycles, uint64(entry+wait))
+		if enqueue {
+			m.SetGauge(obs.MetricPipelineDepth, float64(depth))
+		}
+		obsRec.ObserveSeries(obs.SeriesRendezvous, uint64(entry+wait))
+		if enqueue {
+			obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(depth))
+		}
 	}
-	// Decode every record; one that does not frame is a divergence in its
-	// own right (that slot's monitor half wrote garbage) and its ballot is
-	// invalid.
-	type decoded struct {
-		slotArrival
-		fname string
-		fargs []uint64
+	if lr := s.lr; lr != nil {
+		cls := ledger.ClassOf(name)
+		lr.Add(phase, obs.VariantLeader, cls, entry, ledger.Mark{}, 0)
+		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls, wait, ledger.Mark{}, 0)
 	}
-	valid := make([]decoded, 0, len(arrivals))
+}
+
+// resolve finishes a rendezvous once the ballots are in: checkpoint the
+// quiescent set, decode each record once, compare, then execute the call
+// once and emulate its results to the agreeing slots. With no ballot left
+// the leader runs the call un-replicated — after unwinding the region
+// under rollback, unless the leader itself just severed a lone follower.
+func (s *session) resolve(t *machine.Thread, name string, args []uint64, idx uint64, ballots []ballot, pair bool) uint64 {
+	if len(ballots) > 0 && s.mon.snapshotDue(s) {
+		// A quiescent anchor point: every arrived follower is parked at
+		// the same ordinal (in pipelined mode this is a barrier, so the
+		// rings are drained) and no emulation is in flight. The checkpoint
+		// lands before this call's divergence checks — a rendezvous that
+		// fails them below was still quiescent when captured, and the
+		// budget catches a checkpoint that keeps absorbing the same
+		// divergence.
+		s.mon.captureCheckpoint(s, t, ballots, name, idx)
+	}
+	// Lockstep check 0: each record must decode. One that does not frame
+	// cannot be compared, which is itself a divergence (that slot's
+	// monitor half wrote garbage).
 	cmpMark := s.lr.Mark()
 	var wireBytes uint64
-	for _, a := range arrivals {
-		fname, fargs, derr := decodeCallRecord(a.rec.wire)
-		wireBytes += uint64(len(a.rec.wire))
-		if derr != nil {
-			s.mon.raiseAlarm(Alarm{
-				Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: VariantID(a.slot.id),
-				Detail: fmt.Sprintf("corrupt IPC call record: %v", derr),
-			}, s.rendezvousSnapshots(t, a.rec)...)
-			s.diverged.Store(true)
-			s.rejectFollower(a.slot, a.rec, "ipc-corruption")
+	valid := ballots[:0]
+	for _, b := range ballots {
+		wireBytes += uint64(len(b.rec.wire))
+		var err error
+		if b.name, b.args, err = decodeCallRecord(b.rec.wire); err != nil {
+			s.reject(t, &b, Alarm{
+				Reason: AlarmCallMismatch, CallIndex: idx, LeaderCall: name,
+				Detail: fmt.Sprintf("corrupt IPC call record: %v", err),
+			}, "", "ipc-corruption")
 			continue
 		}
-		valid = append(valid, decoded{slotArrival: a, fname: fname, fargs: fargs})
+		valid = append(valid, b)
 	}
 	switch len(valid) {
 	case 0:
-		s.maybeAbortRegion(t, name, idx)
+		if !pair {
+			s.maybeAbortRegion(t, name, idx)
+		}
 		return s.mon.lib.Call(t, name, args)
 	case 1:
-		// One survivor: the pairwise compare and its legacy alarms apply.
-		return s.leaderPaired(t, name, args, valid[0].slot, valid[0].rec, idx)
-	}
-
-	// The vote. Ballot 0 is the leader; ballot k maps to valid[k-1].
-	ballots := make([]Ballot, 1, len(valid)+1)
-	ballots[0] = Ballot{Variant: 0, Name: name, Args: args, Valid: true}
-	for _, v := range valid {
-		ballots = append(ballots, Ballot{
-			Variant: VariantID(v.slot.id), Name: v.fname, Args: v.fargs, Valid: true,
-		})
-	}
-	res := Vote(ballots)
-	obsRec := s.mon.rec
-	if lr := s.lr; lr != nil {
-		lr.Add(ledger.PhaseCompare, obs.VariantLeader, ledger.ClassOf(name),
-			0, cmpMark, wireBytes)
-	}
-
-	leaderWon := res.Winner == 0
-	if !leaderWon {
-		// The followers outvoted the leader. The leader is the only variant
-		// wired to the kernel, so it still executes — but the whole set is
-		// suspect: the alarm names variant 0 and every follower is rejected
-		// per the policy (kill-both aborts them, containment detaches).
-		maj := ballots[res.Winner]
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmOutvoted, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, FollowerCall: maj.Name, Variant: 0,
-			Detail: fmt.Sprintf("leader outvoted %d-to-1 at %s: majority called %s",
-				res.Majority, name, maj.Name),
-		})
-		s.diverged.Store(true)
-		if obsRec != nil {
-			obsRec.Metrics().Inc("vote.leader_outvoted")
+		if !s.pairwise(t, name, args, idx, &valid[0]) {
+			return s.mon.lib.Call(t, name, args)
 		}
-		for _, v := range valid {
-			s.rejectFollower(v.slot, v.rec, "outvoted")
-		}
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
-	}
-
-	// Leader in the majority: quarantine each minority follower, then run
-	// the call once and emulate results to the winners.
-	winners := make([]decoded, 0, len(valid))
-	losers := make(map[int]bool, len(res.Losers))
-	for _, li := range res.Losers {
-		losers[li] = true
-	}
-	for bi, v := range valid {
-		if losers[bi+1] {
-			s.mon.raiseAlarm(Alarm{
-				Reason: AlarmOutvoted, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, FollowerCall: v.fname, Variant: VariantID(v.slot.id),
-				Detail: fmt.Sprintf("variant %d outvoted %d-to-1 at call %s: it called %s",
-					v.slot.id, res.Majority, name, v.fname),
-			}, s.rendezvousSnapshots(t, v.rec)...)
-			s.diverged.Store(true)
-			if obsRec != nil {
-				obsRec.Metrics().Inc("vote.follower_outvoted")
-			}
-			s.rejectFollower(v.slot, v.rec, "outvoted")
-			continue
-		}
-		winners = append(winners, v)
-	}
-
-	cat := libc.CategoryOf(name)
-	if obsRec != nil {
-		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(cat), idx, 0)
-		obsRec.Metrics().Inc("lockstep.category." + cat.Slug())
-	}
-	switch cat {
-	case libc.CatLocal:
-		// User-space call: each variant executes in its own space.
-		ret := s.mon.lib.Call(t, name, args)
-		for _, w := range winners {
-			w.rec.resp <- callResult{mode: modeLocal}
-		}
-		return ret
 	default:
-		// Leader-only execution; each winning follower receives return
-		// value, errno, and output buffers over its own IPC lane.
-		ret := s.mon.lib.Call(t, name, args)
-		errno := t.Errno()
-		var esp obs.EmulationSpan
-		if obsRec != nil {
-			esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
+		var leaderWon bool
+		if valid, leaderWon = s.vote(t, name, args, idx, valid); !leaderWon {
+			s.maybeAbortRegion(t, name, idx)
+			return s.mon.lib.Call(t, name, args)
 		}
-		emuMark := s.lr.Mark()
-		total := 0
-		for _, w := range winners {
-			copied, efault := s.emulate(name, args, w.fargs, ret, idx, w.slot.delta)
-			total += copied
-			s.emulatedBytes.Add(uint64(copied))
-			if efault && s.mon.contain() {
-				s.mon.detachFollower(s, w.slot, "emulation-fault")
-				w.rec.resp <- callResult{mode: modeDetach}
-				continue
-			}
-			w.rec.resp <- callResult{mode: modeEmulated, ret: ret, errno: errno}
-		}
-		esp.End(uint64(total))
-		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
-				s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(total), emuMark, uint64(total))
-		}
-		if obsRec != nil {
-			obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(total), 0, ret)
-			obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(total))
-		}
-		return ret
 	}
-}
 
-// leaderTimedOut handles a blown rendezvous deadline against one slot:
-// raise AlarmRendezvousTimeout, sever that slot per the policy, and let
-// the leader continue. rec is non-nil when the follower did arrive, too
-// late — elapsed is the measured wait in that case; nil means the watchdog
-// tripped while the follower was still missing.
-func (s *session) leaderTimedOut(t *machine.Thread, name string, args []uint64, sl *followerSlot, rec *callRecord, idx uint64, elapsed clock.Cycles) uint64 {
-	deadline := s.mon.opts.RendezvousDeadline
-	detail := fmt.Sprintf("follower missed the %d-cycle rendezvous deadline", deadline)
-	fcall := ""
-	var snaps []obs.ThreadSnapshot
-	if rec != nil {
-		fcall = rec.name
-		detail = fmt.Sprintf("follower arrived %d cycles into a %d-cycle rendezvous deadline", elapsed, deadline)
-		snaps = s.rendezvousSnapshots(t, rec)
-	} else if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("leader", t)}
-	}
-	s.mon.raiseAlarm(Alarm{
-		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-		LeaderCall: name, FollowerCall: fcall, Detail: detail,
-		Variant: VariantID(sl.id),
-	}, snaps...)
-	s.diverged.Store(true)
-	s.mon.rec.Metrics().Inc("rendezvous.timeout")
-	if rec != nil {
-		s.rejectFollower(sl, rec, "rendezvous-timeout")
-	} else {
-		s.mon.detachFollower(s, sl, "rendezvous-timeout")
-	}
-	return s.mon.lib.Call(t, name, args)
-}
-
-// leaderPaired handles a rendezvous where the leader and one follower slot
-// arrived — the paper's pairwise compare.
-func (s *session) leaderPaired(t *machine.Thread, name string, args []uint64, sl *followerSlot, rec *callRecord, idx uint64) uint64 {
 	obsRec := s.mon.rec
-	if s.mon.snapshotDue(s) {
-		// A quiescent anchor point: both variants are parked at the same
-		// ordinal (in pipelined mode this is a barrier, so the ring is
-		// drained) and no emulation is in flight. The checkpoint lands
-		// before this call's divergence checks — a rendezvous that fails
-		// them below was still quiescent when captured, and the budget
-		// catches a checkpoint that keeps absorbing the same divergence.
-		s.mon.captureCheckpoint(s, t, []*callRecord{rec}, name, idx)
-	}
-	cmpMark := s.lr.Mark()
-	// Lockstep check 0: the IPC record itself must decode. A record that
-	// does not frame correctly cannot be compared, which is itself a
-	// divergence (the follower's monitor half wrote garbage).
-	fname, fargs, derr := decodeCallRecord(rec.wire)
-	if derr != nil {
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("corrupt IPC call record: %v", derr),
-		}, s.rendezvousSnapshots(t, rec)...)
-		s.diverged.Store(true)
-		s.rejectFollower(sl, rec, "ipc-corruption")
-		return s.mon.lib.Call(t, name, args)
-	}
-	// Lockstep check 1: same libc function name (Section 3.3).
-	if fname != name {
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmCallMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, FollowerCall: fname, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("leader called %s, follower called %s", name, fname),
-		}, s.rendezvousSnapshots(t, rec)...)
-		s.diverged.Store(true)
-		s.rejectFollower(sl, rec, "call-mismatch")
-		return s.mon.lib.Call(t, name, args)
-	}
-	// Lockstep check 2: same non-pointer argument values.
-	if bad, li, fi := scalarMismatch(name, args, fargs); bad {
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmArgMismatch, CallIndex: idx, Function: s.fn,
-			LeaderCall: name, FollowerCall: fname, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", name, li, fi),
-		}, s.rendezvousSnapshots(t, rec)...)
-		s.diverged.Store(true)
-		s.rejectFollower(sl, rec, "arg-mismatch")
-		return s.mon.lib.Call(t, name, args)
-	}
-
 	cat := libc.CategoryOf(name)
 	if obsRec != nil {
 		obsRec.Record(obs.EvLockstep, obs.VariantLeader, t.TID(), name, uint64(cat), idx, 0)
@@ -793,57 +644,164 @@ func (s *session) leaderPaired(t *machine.Thread, name string, args []uint64, sl
 		// into the rendezvous entry); the ledger still counts occurrences,
 		// allocations, and the wire volume verified.
 		lr.Add(ledger.PhaseCompare, obs.VariantLeader, ledger.ClassOf(name),
-			0, cmpMark, uint64(len(rec.wire)))
+			0, cmpMark, wireBytes)
 	}
-	switch cat {
-	case libc.CatLocal:
+	ret := s.mon.lib.Call(t, name, args)
+	if cat == libc.CatLocal {
 		// User-space call: each variant executes in its own space.
-		ret := s.mon.lib.Call(t, name, args)
-		rec.resp <- callResult{mode: modeLocal}
-		return ret
-	default:
-		// Leader-only execution; follower receives return value, errno,
-		// and any output buffers over the IPC.
-		ret := s.mon.lib.Call(t, name, args)
-		errno := t.Errno()
-		var esp obs.EmulationSpan
-		if obsRec != nil {
-			esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
+		for _, w := range valid {
+			w.rec.resp <- callResult{mode: modeLocal}
 		}
-		emuMark := s.lr.Mark()
-		copied, efault := s.emulate(name, args, fargs, ret, idx, sl.delta)
-		esp.End(uint64(copied))
-		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
-				s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(copied), emuMark, uint64(copied))
-		}
-		s.emulatedBytes.Add(uint64(copied))
-		if obsRec != nil {
-			obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(copied), 0, ret)
-			obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(copied))
-		}
-		if efault && s.mon.contain() {
-			// The follower's result buffer is gone; it cannot keep up.
-			s.mon.detachFollower(s, sl, "emulation-fault")
-			rec.resp <- callResult{mode: modeDetach}
-			return ret
-		}
-		rec.resp <- callResult{mode: modeEmulated, ret: ret, errno: errno}
 		return ret
 	}
+	// Leader-only execution; each agreeing follower receives the return
+	// value, errno, and output buffers over its own lane. Replies go out
+	// only once the emulation is booked, so no follower runs ahead of it.
+	errno := t.Errno()
+	var esp obs.EmulationSpan
+	if obsRec != nil {
+		esp = obsRec.BeginEmulationSpan(obs.VariantLeader, t.TID(), name, uint64(cat))
+	}
+	emuMark := s.lr.Mark()
+	var faulted [MaxVariants - 1]bool
+	total := 0
+	for i, w := range valid {
+		copied, efault := s.emulate(name, args, w.args, ret, idx, w.slot.delta)
+		total += copied
+		faulted[i] = efault
+	}
+	esp.End(uint64(total))
+	if lr := s.lr; lr != nil {
+		lr.Add(ledger.PhaseEmulate, obs.VariantLeader, ledger.ClassOf(name),
+			s.mon.m.Costs().LockstepCopyPerByte*cyclesOf(total), emuMark, uint64(total))
+	}
+	s.emulatedBytes.Add(uint64(total))
+	if obsRec != nil {
+		obsRec.Record(obs.EvEmulated, obs.VariantLeader, t.TID(), name, uint64(total), 0, ret)
+		obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(total))
+	}
+	for i, w := range valid {
+		if faulted[i] && s.mon.contain() {
+			// The follower's result buffer is gone; it cannot keep up.
+			s.mon.detachFollower(s, w.slot, "emulation-fault")
+			w.rec.resp <- callResult{mode: modeDetach}
+			continue
+		}
+		w.rec.resp <- callResult{mode: modeEmulated, ret: ret, errno: errno}
+	}
+	return ret
 }
 
-// rendezvousSnapshots captures both variants' thread states at a paired
-// rendezvous, for the forensics report. The follower is blocked on the resp
-// channel, so reading its thread is race-free (see callRecord). Snapshots
-// are captured only when a recorder is attached.
-func (s *session) rendezvousSnapshots(leader *machine.Thread, rec *callRecord) []obs.ThreadSnapshot {
+// pairwise is the paper's two-party check against the one follower ballot
+// left (Section 3.3): the same libc function, then the same non-pointer
+// argument values. A mismatch rejects the ballot with the pairwise alarm.
+func (s *session) pairwise(t *machine.Thread, name string, args []uint64, idx uint64, b *ballot) bool {
+	if b.name != name {
+		s.reject(t, b, Alarm{
+			Reason: AlarmCallMismatch, CallIndex: idx, LeaderCall: name, FollowerCall: b.name,
+			Detail: fmt.Sprintf("leader called %s, follower called %s", name, b.name),
+		}, "", "call-mismatch")
+		return false
+	}
+	if bad, li, fi := scalarMismatch(name, args, b.args); bad {
+		s.reject(t, b, Alarm{
+			Reason: AlarmArgMismatch, CallIndex: idx, LeaderCall: name, FollowerCall: b.name,
+			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", name, li, fi),
+		}, "", "arg-mismatch")
+		return false
+	}
+	return true
+}
+
+// vote resolves the leader's ballot against two or more follower ballots
+// by majority (see elect). A follower outside the winning class is
+// outvoted and rejected per the policy. If the followers outvote the
+// leader, the whole set is suspect: the leader is the only variant wired
+// to the kernel, so it still executes, but the alarm names variant 0 and
+// every follower is rejected. vote returns the followers that agree with
+// the leader, and whether the leader won.
+func (s *session) vote(t *machine.Thread, name string, args []uint64, idx uint64, valid []ballot) ([]ballot, bool) {
+	var buf [MaxVariants]Ballot
+	votes := append(buf[:0], Ballot{Variant: 0, Name: name, Args: args, Valid: true})
+	for _, b := range valid {
+		votes = append(votes, Ballot{Variant: VariantID(b.slot.id), Name: b.name, Args: b.args, Valid: true})
+	}
+	var class [MaxVariants]int
+	winner, majority := elect(votes, class[:len(votes)])
+	if winner != 0 {
+		maj := votes[winner]
+		s.mon.raiseAlarm(Alarm{
+			Reason: AlarmOutvoted, CallIndex: idx, Function: s.fn,
+			LeaderCall: name, FollowerCall: maj.Name, Variant: 0,
+			Detail: fmt.Sprintf("leader outvoted %d-to-1 at %s: majority called %s",
+				majority, name, maj.Name),
+		})
+		s.diverged.Store(true)
+		s.mon.rec.Metrics().Inc("vote.leader_outvoted")
+		for _, b := range valid {
+			s.rejectFollower(b.slot, b.rec, "outvoted")
+		}
+		return nil, false
+	}
+	winners := valid[:0]
+	for i, b := range valid {
+		if class[i+1] == winner {
+			winners = append(winners, b)
+			continue
+		}
+		s.reject(t, &b, Alarm{
+			Reason: AlarmOutvoted, CallIndex: idx, LeaderCall: name, FollowerCall: b.name,
+			Detail: fmt.Sprintf("variant %d outvoted %d-to-1 at call %s: it called %s",
+				b.slot.id, majority, name, b.name),
+		}, "vote.follower_outvoted", "outvoted")
+	}
+	return winners, true
+}
+
+// reject raises a divergence alarm against an arrived ballot — filling in
+// the region and the slot, with the leader's and that follower's registers
+// for the report — counts it under metric (when set), and answers the slot
+// per the policy.
+func (s *session) reject(t *machine.Thread, b *ballot, a Alarm, metric, cause string) {
+	a.Function, a.Variant = s.fn, VariantID(b.slot.id)
+	s.mon.raiseAlarm(a, s.rendezvousSnapshots(t, b)...)
+	s.diverged.Store(true)
+	if metric != "" {
+		s.mon.rec.Metrics().Inc(metric)
+	}
+	s.rejectFollower(b.slot, b.rec, cause)
+}
+
+// timeOut raises AlarmRendezvousTimeout against a slot that never
+// delivered its record and severs it from lockstep. leaderSnap attaches
+// the leader's registers — the follower is not parked where it could be
+// read.
+func (s *session) timeOut(t *machine.Thread, sl *followerSlot, name string, idx uint64, leaderSnap bool, detail string) {
+	var snaps []obs.ThreadSnapshot
+	if leaderSnap && s.mon.rec != nil {
+		snaps = []obs.ThreadSnapshot{s.mon.snapshot("leader", t)}
+	}
+	s.mon.raiseAlarm(Alarm{
+		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
+		LeaderCall: name, Variant: VariantID(sl.id), Detail: detail,
+	}, snaps...)
+	s.diverged.Store(true)
+	s.mon.rec.Metrics().Inc("rendezvous.timeout")
+	s.mon.detachFollower(s, sl, "rendezvous-timeout")
+}
+
+// rendezvousSnapshots captures the leader's and one arrived follower's
+// thread states for the forensics report, the follower labelled by its
+// slot. The follower is blocked on its reply, so reading its thread is
+// race-free (see callRecord). Snapshots are captured only when a recorder
+// is attached.
+func (s *session) rendezvousSnapshots(leader *machine.Thread, b *ballot) []obs.ThreadSnapshot {
 	if s.mon.rec == nil {
 		return nil
 	}
 	snaps := []obs.ThreadSnapshot{s.mon.snapshot("leader", leader)}
-	if rec.thread != nil {
-		snaps = append(snaps, s.mon.snapshot("follower", rec.thread))
+	if b.rec.thread != nil {
+		snaps = append(snaps, s.mon.snapshot(obs.FollowerVariant(b.slot.id).String(), b.rec.thread))
 	}
 	return snaps
 }
@@ -929,7 +887,7 @@ func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string,
 		// region, so only the follower's own thread may be snapshotted.
 		var snaps []obs.ThreadSnapshot
 		if obsRec != nil {
-			snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
+			snaps = []obs.ThreadSnapshot{s.mon.snapshot(fv.String(), t)}
 		}
 		s.mon.raiseAlarm(Alarm{
 			Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,

@@ -208,7 +208,7 @@ type RegionReport struct {
 	// live follower: either the policy detached it mid-region, or the
 	// region started leader-only after an earlier detach.
 	Degraded bool
-	// FollowerRestarted reports that PolicyRestartFollower re-cloned a
+	// FollowerRestarted reports that PolicyRestartVariant re-cloned a
 	// fresh follower at this region's entry.
 	FollowerRestarted bool
 	// RolledBack reports that PolicyRollback restored both variants to
@@ -249,7 +249,7 @@ type Options struct {
 	// Policy selects the divergence response (default PolicyKillBoth, the
 	// paper's behaviour).
 	Policy DivergencePolicy
-	// RestartBudget bounds how many times PolicyRestartFollower re-clones
+	// RestartBudget bounds how many times PolicyRestartVariant re-clones
 	// a follower before degrading to leader-continue (default
 	// DefaultRestartBudget).
 	RestartBudget int
@@ -331,7 +331,7 @@ func WithPolicy(p DivergencePolicy) Option {
 	return func(o *Options) { o.Policy = p }
 }
 
-// WithRestartBudget bounds PolicyRestartFollower's re-clones.
+// WithRestartBudget bounds PolicyRestartVariant's re-clones.
 func WithRestartBudget(n int) Option {
 	return func(o *Options) { o.RestartBudget = n }
 }

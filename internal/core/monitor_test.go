@@ -499,10 +499,10 @@ func TestRSSGrowsWithFollowerAndShrinksOnDestroy(t *testing.T) {
 	if during >= before*2 {
 		t.Errorf("follower RSS share too large: %dKB -> %dKB", before, during)
 	}
-	mon.DestroyFollower()
+	mon.destroyFollower()
 	after := env.ResidentKB()
 	if after >= during {
-		t.Errorf("DestroyFollower did not release memory: %dKB -> %dKB", during, after)
+		t.Errorf("destroyFollower did not release memory: %dKB -> %dKB", during, after)
 	}
 }
 

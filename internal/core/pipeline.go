@@ -129,7 +129,7 @@ func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uin
 		s.maybeAbortRegion(t, name, idx)
 		return s.mon.lib.Call(t, name, args)
 	}
-	live := att[:0:0]
+	live := att[:0]
 	anyDead := false
 	for _, sl := range att {
 		select {
@@ -151,147 +151,67 @@ func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uin
 		return s.mon.lib.Call(t, name, args)
 	}
 	if libc.SyncClassOf(name) == libc.SyncBarrier {
-		return s.leaderBarrier(t, name, args, idx, live)
+		return s.rendezvous(t, name, args, idx, live, true)
 	}
-	if len(live) == 1 {
-		return s.leaderPipelinedOne(t, name, args, idx, live[0])
-	}
-	return s.leaderPipelinedMany(t, name, args, idx, live)
+	return s.enqueue(t, name, args, idx, live)
 }
 
-// leaderPipelinedOne publishes one non-barrier call to the single live
-// slot — the pair-shaped run-ahead discipline, byte for byte at
-// Variants=2.
-func (s *session) leaderPipelinedOne(t *machine.Thread, name string, args []uint64, idx uint64, sl *followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepEnqueue)
-	// Execute before publishing: the record carries the concrete result
-	// (and output-buffer snapshots) the follower will verify and apply.
-	// Snapshots are taken now, so the leader overwriting the buffer
-	// while running ahead cannot corrupt the follower's copy.
+// enqueue publishes one non-barrier call to every live slot's ring. The
+// call executes first, once: each record carries the concrete result, with
+// output-buffer snapshots taken now (so the leader overwriting the buffer
+// while running ahead cannot corrupt a follower's copy) and rebased into
+// that slot's window.
+func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
+	entry := s.mon.m.Costs().LockstepEnqueue * clock.Cycles(len(live))
+	s.mon.m.ChargeThread(t, entry)
 	ret := s.mon.lib.Call(t, name, args)
 	errno := t.Errno()
-	mshMark := s.lr.Mark()
-	rec := &leaderRecord{
-		idx:  idx,
-		name: name,
-		wire: encodeCallRecord(name, args),
-		cat:  libc.CategoryOf(name),
-	}
-	if libc.SyncClassOf(name) == libc.SyncLocal {
-		rec.local = true
-	} else {
-		rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
-	}
-	lr := s.lr
-	var cls ledger.Class
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-		lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
-			uint64(len(rec.wire)+len(rec.result)))
-	}
-	enqStart := s.mon.m.Counter().Cycles()
-	switch s.appendRecord(t, sl, rec) {
-	case appendDead:
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
-	case appendTimedOut:
-		s.enqueueTimedOut(t, sl, name, idx)
-	case appendDetached:
-		// The follower severed itself at drain time; bookkeeping and the
-		// alarm already happened on its goroutine. Rollback unwinds here.
-		s.maybeAbortRegion(t, name, idx)
-	case appendOK:
-		now := s.mon.m.Counter().Cycles()
-		if obsRec := s.mon.rec; obsRec != nil {
-			m := obsRec.Metrics()
-			m.Observe(obs.MetricRendezvousLeaderCycles,
-				uint64(costs.LockstepEnqueue+(now-enqStart)))
-			m.SetGauge(obs.MetricPipelineDepth, float64(len(sl.ring)))
-			obsRec.ObserveSeries(obs.SeriesRendezvous,
-				uint64(costs.LockstepEnqueue+(now-enqStart)))
-			obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(len(sl.ring)))
-		}
-		if lr != nil {
-			// Enqueue+wait sum to the rendezvous.leader.cycles observation
-			// above — the ledger/histogram reconciliation invariant.
-			lr.Add(ledger.PhaseEnqueue, obs.VariantLeader, cls,
-				costs.LockstepEnqueue, ledger.Mark{}, 0)
-			lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-				now-enqStart, ledger.Mark{}, 0)
-		}
-	}
-	return ret
-}
-
-// leaderPipelinedMany publishes one non-barrier call to every live slot's
-// ring. The call executes once; each slot receives its own record with
-// output snapshots rebased into that slot's window.
-func (s *session) leaderPipelinedMany(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepEnqueue*clock.Cycles(len(live)))
-	ret := s.mon.lib.Call(t, name, args)
-	errno := t.Errno()
-	lr := s.lr
-	var cls ledger.Class
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-	}
-	mshMark := s.lr.Mark()
-	wire := encodeCallRecord(name, args)
 	local := libc.SyncClassOf(name) == libc.SyncLocal
 	enqStart := s.mon.m.Counter().Cycles()
-	anyOK := false
+	var wire []byte
+	anyOK, timedOut := false, false
 	maxDepth := 0
-	for i, sl := range live {
-		if i > 0 {
-			mshMark = s.lr.Mark()
+	for _, sl := range live {
+		mshMark := s.lr.Mark()
+		if wire == nil {
+			wire = encodeCallRecord(name, args)
 		}
-		rec := &leaderRecord{idx: idx, name: name, wire: wire, cat: libc.CategoryOf(name)}
-		if local {
-			rec.local = true
-		} else {
+		rec := &leaderRecord{idx: idx, name: name, wire: wire, cat: libc.CategoryOf(name), local: local}
+		if !local {
 			rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
 		}
-		if lr != nil {
-			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, cls, 0, mshMark,
+		if lr := s.lr; lr != nil {
+			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name), 0, mshMark,
 				uint64(len(rec.wire)+len(rec.result)))
+		}
+		if len(live) == 1 {
+			// A lone slot's wait starts once its record is captured (the
+			// pair discipline); a larger set's spans the whole publication.
+			enqStart = s.mon.m.Counter().Cycles()
 		}
 		switch s.appendRecord(t, sl, rec) {
 		case appendDead:
 			s.diverged.Store(true)
 		case appendTimedOut:
 			s.enqueueTimedOut(t, sl, name, idx)
+			timedOut = true
 		case appendDetached:
-			// Drain-time bookkeeping already happened on the slot's
-			// goroutine.
+			// The slot severed itself at drain time; bookkeeping and the
+			// alarm already happened on its goroutine.
 		case appendOK:
 			anyOK = true
-			if d := len(sl.ring); d > maxDepth {
-				maxDepth = d
-			}
+			maxDepth = max(maxDepth, len(sl.ring))
 		}
 	}
 	if !anyOK {
-		s.maybeAbortRegion(t, name, idx)
+		// Under rollback a lost set unwinds here, except after a lone
+		// slot's ring timeout (the pair discipline; see rendezvous).
+		if len(live) > 1 || !timedOut {
+			s.maybeAbortRegion(t, name, idx)
+		}
 		return ret
 	}
-	now := s.mon.m.Counter().Cycles()
-	if obsRec := s.mon.rec; obsRec != nil {
-		m := obsRec.Metrics()
-		m.Observe(obs.MetricRendezvousLeaderCycles,
-			uint64(costs.LockstepEnqueue*clock.Cycles(len(live))+(now-enqStart)))
-		m.SetGauge(obs.MetricPipelineDepth, float64(maxDepth))
-		obsRec.ObserveSeries(obs.SeriesRendezvous,
-			uint64(costs.LockstepEnqueue*clock.Cycles(len(live))+(now-enqStart)))
-		obsRec.ObserveSeries(obs.SeriesPipelineDepth, uint64(maxDepth))
-	}
-	if lr != nil {
-		lr.Add(ledger.PhaseEnqueue, obs.VariantLeader, cls,
-			costs.LockstepEnqueue*clock.Cycles(len(live)), ledger.Mark{}, 0)
-		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-			now-enqStart, ledger.Mark{}, 0)
-	}
+	s.settle(t, name, ledger.PhaseEnqueue, entry, s.mon.m.Counter().Cycles()-enqStart, maxDepth)
 	return ret
 }
 
@@ -347,274 +267,13 @@ func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderR
 }
 
 // enqueueTimedOut handles a blown deadline while the leader was parked on
-// a full ring: the call itself already executed, so — unlike
-// leaderTimedOut — there is nothing to re-run, only the alarm and the
-// policy detach.
+// a full ring: the call itself already executed (or, at a barrier of a
+// larger set, still runs for the others), so only the alarm and the
+// policy detach remain.
 func (s *session) enqueueTimedOut(t *machine.Thread, sl *followerSlot, name string, idx uint64) {
-	deadline := s.mon.opts.RendezvousDeadline
-	var snaps []obs.ThreadSnapshot
-	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("leader", t)}
-	}
-	s.mon.raiseAlarm(Alarm{
-		Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-		LeaderCall: name, Variant: VariantID(sl.id),
-		Detail: fmt.Sprintf("follower stopped draining the rendezvous ring inside the %d-cycle deadline",
-			deadline),
-	}, snaps...)
-	s.diverged.Store(true)
-	s.mon.rec.Metrics().Inc("rendezvous.timeout")
-	s.mon.detachFollower(s, sl, "rendezvous-timeout")
-}
-
-// leaderBarrier completes a hard sync point: publish the barrier record to
-// every live ring, wait for each follower to drain everything before it
-// and hand back its own callRecord, then run the full rendezvous —
-// compare (pairwise or by vote), execute, emulate — before the call's
-// effects become externally visible.
-func (s *session) leaderBarrier(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
-	if len(live) == 1 {
-		return s.leaderBarrierOne(t, name, args, idx, live[0])
-	}
-	return s.leaderBarrierMany(t, name, args, idx, live)
-}
-
-// leaderBarrierOne is the pair-shaped barrier against the single live
-// slot, byte for byte at Variants=2.
-func (s *session) leaderBarrierOne(t *machine.Thread, name string, args []uint64, idx uint64, sl *followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepRendezvous)
-	obsRec := s.mon.rec
-	var span obs.RendezvousSpan
-	if obsRec != nil {
-		obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
-			uint64(libc.CategoryOf(name)))
-	}
-	mshMark := s.lr.Mark()
-	rec := &leaderRecord{
-		idx: idx, name: name, wire: encodeCallRecord(name, args),
-		cat: libc.CategoryOf(name), barrier: true,
-		reply: make(chan *callRecord, 1),
-	}
-	if lr := s.lr; lr != nil {
-		lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name),
-			0, mshMark, uint64(len(rec.wire)))
-	}
-	waitStart := s.mon.m.Counter().Cycles()
-	switch s.appendRecord(t, sl, rec) {
-	case appendDead:
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case appendDetached:
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case appendTimedOut:
-		ret := s.leaderTimedOut(t, name, args, sl, nil, idx, 0)
-		span.End(ret)
-		return ret
-	}
-
-	paired := func(frec *callRecord) uint64 {
-		s.waitingSince.Store(0)
-		now := s.mon.m.Counter().Cycles()
-		t.AddWaitCycles(now - waitStart)
-		if obsRec != nil {
-			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-			obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-				uint64(costs.LockstepRendezvous+(now-waitStart)))
-			obsRec.ObserveSeries(obs.SeriesRendezvous,
-				uint64(costs.LockstepRendezvous+(now-waitStart)))
-		}
-		if lr := s.lr; lr != nil {
-			// Barrier+wait sum to the rendezvous.leader.cycles observation
-			// above; the wait started before the ring append, so it folds
-			// in any backpressure the barrier record hit.
-			cls := ledger.ClassOf(name)
-			lr.Add(ledger.PhaseBarrier, obs.VariantLeader, cls,
-				costs.LockstepRendezvous, ledger.Mark{}, 0)
-			lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-				now-waitStart, ledger.Mark{}, 0)
-		}
-		if d := s.mon.opts.RendezvousDeadline; d > 0 && (frec.lag > d || now-waitStart > d) {
-			// Backstop: the follower self-checks its lag at drain time,
-			// so this only fires on pathological multi-thread charging.
-			late := now - waitStart
-			if frec.lag > d {
-				late = frec.lag
-			}
-			return s.leaderTimedOut(t, name, args, sl, frec, idx, late)
-		}
-		return s.leaderPaired(t, name, args, sl, frec, idx)
-	}
-
-	s.waitingSince.Store(int64(waitStart) + 1)
-	defer s.waitingSince.Store(0)
-	select {
-	case frec := <-rec.reply:
-		ret := paired(frec)
-		span.End(ret)
-		return ret
-	case <-sl.dead:
-		s.diverged.Store(true)
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case <-sl.detachCh:
-		s.maybeAbortRegion(t, name, idx)
-		ret := s.mon.lib.Call(t, name, args)
-		span.End(ret)
-		return ret
-	case <-s.timedOut:
-		// Same grace as appendRecord: only a zero-charging follower gets
-		// past the reply/death cases here.
-		select {
-		case frec := <-rec.reply:
-			ret := paired(frec)
-			span.End(ret)
-			return ret
-		case <-sl.dead:
-			s.diverged.Store(true)
-			s.maybeAbortRegion(t, name, idx)
-			ret := s.mon.lib.Call(t, name, args)
-			span.End(ret)
-			return ret
-		case <-sl.detachCh:
-			s.maybeAbortRegion(t, name, idx)
-			ret := s.mon.lib.Call(t, name, args)
-			span.End(ret)
-			return ret
-		case <-time.After(pipelineGrace):
-			ret := s.leaderTimedOut(t, name, args, sl, nil, idx, 0)
-			span.End(ret)
-			return ret
-		}
-	}
-}
-
-// leaderBarrierMany publishes the barrier record to every live slot's
-// ring, collects each slot's callRecord, and resolves by majority vote.
-func (s *session) leaderBarrierMany(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
-	costs := s.mon.m.Costs()
-	s.mon.m.ChargeThread(t, costs.LockstepRendezvous*clock.Cycles(len(live)))
-	obsRec := s.mon.rec
-	var span obs.RendezvousSpan
-	if obsRec != nil {
-		obsRec.Metrics().Inc(obs.MetricLockstepBarrier)
-		span = obsRec.BeginRendezvousSpan(obs.VariantLeader, t.TID(), name,
-			uint64(libc.CategoryOf(name)))
-	}
-	waitStart := s.mon.m.Counter().Cycles()
-	type published struct {
-		sl  *followerSlot
-		rec *leaderRecord
-	}
-	pubs := make([]published, 0, len(live))
-	for _, sl := range live {
-		mshMark := s.lr.Mark()
-		rec := &leaderRecord{
-			idx: idx, name: name, wire: encodeCallRecord(name, args),
-			cat: libc.CategoryOf(name), barrier: true,
-			reply: make(chan *callRecord, 1),
-		}
-		if lr := s.lr; lr != nil {
-			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name),
-				0, mshMark, uint64(len(rec.wire)))
-		}
-		switch s.appendRecord(t, sl, rec) {
-		case appendDead:
-			s.diverged.Store(true)
-		case appendDetached:
-		case appendTimedOut:
-			s.enqueueTimedOut(t, sl, name, idx)
-		case appendOK:
-			pubs = append(pubs, published{sl: sl, rec: rec})
-		}
-	}
-
-	s.waitingSince.Store(int64(waitStart) + 1)
-	arrivals := make([]slotArrival, 0, len(pubs))
-	graced := false
-	for _, p := range pubs {
-		var frec *callRecord
-		if !graced {
-			select {
-			case frec = <-p.rec.reply:
-			case <-p.sl.dead:
-				s.diverged.Store(true)
-			case <-p.sl.detachCh:
-			case <-s.timedOut:
-				graced = true
-			}
-		}
-		if frec == nil && graced {
-			select {
-			case frec = <-p.rec.reply:
-			case <-p.sl.dead:
-				s.diverged.Store(true)
-			case <-p.sl.detachCh:
-			case <-time.After(pipelineGrace):
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, Variant: VariantID(p.sl.id),
-					Detail: fmt.Sprintf("variant %d missed the %d-cycle rendezvous deadline at a barrier",
-						p.sl.id, s.mon.opts.RendezvousDeadline),
-				})
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.mon.detachFollower(s, p.sl, "rendezvous-timeout")
-			}
-		}
-		if frec != nil {
-			arrivals = append(arrivals, slotArrival{slot: p.sl, rec: frec})
-		}
-	}
-	s.waitingSince.Store(0)
-	now := s.mon.m.Counter().Cycles()
-	t.AddWaitCycles(now - waitStart)
-	if obsRec != nil {
-		obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-		obsRec.Metrics().Observe(obs.MetricRendezvousLeaderCycles,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(live))+(now-waitStart)))
-		obsRec.ObserveSeries(obs.SeriesRendezvous,
-			uint64(costs.LockstepRendezvous*clock.Cycles(len(live))+(now-waitStart)))
-	}
-	if lr := s.lr; lr != nil {
-		cls := ledger.ClassOf(name)
-		lr.Add(ledger.PhaseBarrier, obs.VariantLeader, cls,
-			costs.LockstepRendezvous*clock.Cycles(len(live)), ledger.Mark{}, 0)
-		lr.Add(ledger.PhaseWait, obs.VariantLeader, cls,
-			now-waitStart, ledger.Mark{}, 0)
-	}
-	// Deadline verdicts per arrival, as in the strict N-way rendezvous.
-	if d := s.mon.opts.RendezvousDeadline; d > 0 {
-		kept := arrivals[:0]
-		for _, a := range arrivals {
-			if a.rec.lag > d {
-				s.mon.raiseAlarm(Alarm{
-					Reason: AlarmRendezvousTimeout, CallIndex: idx, Function: s.fn,
-					LeaderCall: name, FollowerCall: a.rec.name, Variant: VariantID(a.slot.id),
-					Detail: fmt.Sprintf("variant %d arrived %d cycles into a %d-cycle rendezvous deadline",
-						a.slot.id, a.rec.lag, d),
-				}, s.rendezvousSnapshots(t, a.rec)...)
-				s.diverged.Store(true)
-				s.mon.rec.Metrics().Inc("rendezvous.timeout")
-				s.rejectFollower(a.slot, a.rec, "rendezvous-timeout")
-				continue
-			}
-			kept = append(kept, a)
-		}
-		arrivals = kept
-	}
-	ret := s.voteResolve(t, name, args, arrivals, idx)
-	span.End(ret)
-	return ret
+	s.timeOut(t, sl, name, idx, true, fmt.Sprintf(
+		"follower stopped draining the rendezvous ring inside the %d-cycle deadline",
+		s.mon.opts.RendezvousDeadline))
 }
 
 // followerCallPipelined runs one follower slot's side: drain the next
@@ -782,7 +441,7 @@ func (s *session) dequeueRecord(t *machine.Thread, sl *followerSlot, name string
 		// calls the leader never made.
 		var snaps []obs.ThreadSnapshot
 		if s.mon.rec != nil {
-			snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
+			snaps = []obs.ThreadSnapshot{s.mon.snapshot(obs.FollowerVariant(sl.id).String(), t)}
 		}
 		s.mon.raiseAlarm(Alarm{
 			Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
@@ -869,7 +528,7 @@ func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, ca
 	}
 	var snaps []obs.ThreadSnapshot
 	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
+		snaps = []obs.ThreadSnapshot{s.mon.snapshot(obs.FollowerVariant(sl.id).String(), t)}
 	}
 	s.mon.raiseAlarm(a, snaps...)
 	s.diverged.Store(true)
@@ -887,7 +546,7 @@ func (s *session) followerTimedOut(t *machine.Thread, sl *followerSlot, name str
 	deadline := s.mon.opts.RendezvousDeadline
 	var snaps []obs.ThreadSnapshot
 	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot("follower", t)}
+		snaps = []obs.ThreadSnapshot{s.mon.snapshot(obs.FollowerVariant(sl.id).String(), t)}
 	}
 	s.mon.raiseAlarm(Alarm{
 		Reason: AlarmRendezvousTimeout, CallIndex: ordinal, Function: s.fn,

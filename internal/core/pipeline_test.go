@@ -382,7 +382,7 @@ func TestPipelinedContainmentPolicies(t *testing.T) {
 	})
 	t.Run("restart-follower", func(t *testing.T) {
 		env, mon, _ := policyApp(t, WithLockstepMode(LockstepPipelined),
-			WithPolicy(PolicyRestartFollower), WithRestartBudget(2), WithRestartBackoff(100))
+			WithPolicy(PolicyRestartVariant), WithRestartBudget(2), WithRestartBackoff(100))
 		defineCrashOnce(t, env)
 		completed, runErr := runRegions(t, env, mon, "protected_func", 3)
 		if runErr != nil || completed != 3 {

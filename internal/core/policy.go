@@ -25,11 +25,13 @@ const (
 	// its pending rendezvous slots, and lets the leader run single-variant
 	// with the monitor flagged degraded (dMVX-style detach).
 	PolicyLeaderContinue
-	// PolicyRestartFollower detaches like PolicyLeaderContinue, then
-	// re-clones a fresh follower at the next protected-region entry,
-	// subject to a bounded restart budget and a virtual-cycle backoff;
-	// once the budget is spent it degrades to leader-continue.
-	PolicyRestartFollower
+	// PolicyRestartVariant detaches like PolicyLeaderContinue, then
+	// re-clones the quarantined variant — whichever follower slot it holds
+	// — at the next protected-region entry, subject to a bounded restart
+	// budget and a virtual-cycle backoff; once the budget is spent it
+	// degrades to leader-continue. Its name keeps the pair-era spelling
+	// "restart-follower".
+	PolicyRestartVariant
 	// PolicyRollback survives a divergence by rewinding: the variants'
 	// memory is restored to the last copy-on-write checkpoint (captured at
 	// a quiescent rendezvous every SnapshotInterval virtual cycles), the
@@ -41,13 +43,6 @@ const (
 	PolicyRollback
 )
 
-// PolicyRestartVariant is the variant-set name for PolicyRestartFollower:
-// with more than one follower slot the policy restarts whichever variant
-// was quarantined, not "the" follower. The old name remains the canonical
-// spelling (String still prints "restart-follower"); this alias exists so
-// new code can use variant-set vocabulary.
-const PolicyRestartVariant DivergencePolicy = PolicyRestartFollower
-
 // String names the policy (the same spelling ParsePolicy accepts).
 func (p DivergencePolicy) String() string {
 	switch p {
@@ -55,7 +50,7 @@ func (p DivergencePolicy) String() string {
 		return "kill-both"
 	case PolicyLeaderContinue:
 		return "leader-continue"
-	case PolicyRestartFollower:
+	case PolicyRestartVariant:
 		return "restart-follower"
 	case PolicyRollback:
 		return "rollback"
@@ -72,7 +67,7 @@ func ParsePolicy(s string) (DivergencePolicy, error) {
 	case "leader-continue":
 		return PolicyLeaderContinue, nil
 	case "restart-follower", "restart-variant":
-		return PolicyRestartFollower, nil
+		return PolicyRestartVariant, nil
 	case "rollback":
 		return PolicyRollback, nil
 	default:
@@ -83,7 +78,7 @@ func ParsePolicy(s string) (DivergencePolicy, error) {
 // Containment defaults.
 const (
 	// DefaultRestartBudget is how many follower re-clones
-	// PolicyRestartFollower attempts before degrading for good.
+	// PolicyRestartVariant attempts before degrading for good.
 	DefaultRestartBudget = 3
 	// DefaultRestartBackoff is the virtual-cycle delay between a detach
 	// and the next restart attempt (~0.5ms at the simulated 2.1GHz).
@@ -113,7 +108,7 @@ func (mo *Monitor) contain() bool {
 }
 
 // Degraded reports whether the monitor is running without a follower after
-// a policy detach (cleared when PolicyRestartFollower re-clones one).
+// a policy detach (cleared when PolicyRestartVariant re-clones one).
 func (mo *Monitor) Degraded() bool {
 	mo.mu.Lock()
 	defer mo.mu.Unlock()

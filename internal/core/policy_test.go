@@ -11,7 +11,7 @@ import (
 )
 
 func TestPolicyStringAndParse(t *testing.T) {
-	for _, p := range []DivergencePolicy{PolicyKillBoth, PolicyLeaderContinue, PolicyRestartFollower, PolicyRollback} {
+	for _, p := range []DivergencePolicy{PolicyKillBoth, PolicyLeaderContinue, PolicyRestartVariant, PolicyRollback} {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePolicy(%q) = %v, %v", p.String(), got, err)
@@ -144,7 +144,7 @@ func TestLeaderContinueContainsFollowerCrash(t *testing.T) {
 }
 
 func TestRestartFollowerReclonesIntoLockstep(t *testing.T) {
-	env, mon, rec := policyApp(t, WithPolicy(PolicyRestartFollower),
+	env, mon, rec := policyApp(t, WithPolicy(PolicyRestartVariant),
 		WithRestartBudget(2), WithRestartBackoff(100))
 	defineCrashOnce(t, env)
 	completed, runErr := runRegions(t, env, mon, "protected_func", 3)
@@ -198,7 +198,7 @@ func defineCrashAlways(t *testing.T, env *boot.Env) {
 }
 
 func TestRestartBudgetExhaustionDegradesForGood(t *testing.T) {
-	env, mon, _ := policyApp(t, WithPolicy(PolicyRestartFollower),
+	env, mon, _ := policyApp(t, WithPolicy(PolicyRestartVariant),
 		WithRestartBudget(2), WithRestartBackoff(100))
 	defineCrashAlways(t, env)
 	completed, runErr := runRegions(t, env, mon, "protected_func", 5)

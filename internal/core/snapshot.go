@@ -144,9 +144,9 @@ func (mo *Monitor) snapshotDue(s *session) bool {
 // Called from the rendezvous paths with every arrived follower parked on
 // its rendezvous reply (strict) or barrier reply (pipelined — the rings
 // are drained), so the thread states and the shared address space are
-// race-free. recs holds the parked followers' call records in slot order.
+// race-free. ballots holds the parked followers' records in slot order.
 // The redo log restarts here: the checkpoint owns the tail.
-func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, recs []*callRecord, name string, idx uint64) {
+func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, ballots []ballot, name string, idx uint64) {
 	start := mo.m.Counter().Cycles()
 	ms := mo.m.AddressSpace().Snapshot()
 	ringDepth := 0
@@ -166,11 +166,11 @@ func (mo *Monitor) captureCheckpoint(s *session, leader *machine.Thread, recs []
 		Drained:       drained,
 		EmulatedBytes: s.emulatedBytes.Load(),
 	}
-	for _, rec := range recs {
-		if rec == nil || rec.thread == nil {
+	for _, b := range ballots {
+		if b.rec == nil || b.rec.thread == nil {
 			continue
 		}
-		fs := mo.snapshot("follower", rec.thread)
+		fs := mo.snapshot(obs.FollowerVariant(b.slot.id).String(), b.rec.thread)
 		if len(ck.Followers) == 0 {
 			ck.Follower = fs
 		}

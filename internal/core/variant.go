@@ -50,7 +50,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 	}
 
 	// Containment gate: after a policy detach the affected slots are down.
-	// PolicyRestartFollower re-clones the whole set here — at region
+	// PolicyRestartVariant re-clones the whole set here — at region
 	// entry, where variant creation is already paid for — while the budget
 	// and backoff allow; with every slot down and no restart available the
 	// region runs leader-only; with only some slots down the up slots keep
@@ -72,7 +72,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 			allDown = allDown && d
 		}
 		if anyDown {
-			canRestart := mo.opts.Policy == PolicyRestartFollower &&
+			canRestart := mo.opts.Policy == PolicyRestartVariant &&
 				used < mo.opts.RestartBudget && mo.m.Counter().Cycles() >= nextAt
 			switch {
 			case canRestart:
@@ -331,7 +331,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 						mo.rec.Record(obs.EvPageFault, obs.FollowerVariant(sl.id), ft.TID(),
 							fe.Kind.String(), uint64(fe.Addr), 0, 0)
 					}
-					snaps = []obs.ThreadSnapshot{mo.snapshot("follower", ft)}
+					snaps = []obs.ThreadSnapshot{mo.snapshot(obs.FollowerVariant(sl.id).String(), ft)}
 				}
 				mo.raiseAlarm(Alarm{
 					Reason: AlarmFollowerFault, CallIndex: s.calls.Load(),
@@ -474,7 +474,7 @@ func (mo *Monitor) relocateRange(lo, hi mem.Addr, delta int64) (int, error) {
 // a follower that never exits the region trips the watchdog instead of
 // deadlocking mvx_end — merges the variants, records the region report, and
 // leaves the followers' mappings in place (they are reclaimed by the next
-// Start or by DestroyFollower).
+// Start or by destroyFollower).
 func (mo *Monitor) End(t *machine.Thread) error {
 	mo.mu.Lock()
 	s := mo.session
@@ -622,12 +622,8 @@ func (mo *Monitor) Invoke(t *machine.Thread, fn string, args ...uint64) (uint64,
 	return ret, err
 }
 
-// DestroyFollower unmaps every follower variant's regions and drops their
+// destroyFollower unmaps every follower variant's regions and drops their
 // heaps, releasing the replicated RSS.
-func (mo *Monitor) DestroyFollower() {
-	mo.destroyFollower()
-}
-
 func (mo *Monitor) destroyFollower() {
 	mo.destroyStacks()
 	mo.mu.Lock()

@@ -48,55 +48,55 @@ func ballotsAgree(a, b Ballot) bool {
 	return !bad
 }
 
-// Vote partitions the ballots into agreement classes (greedily, in ballot
-// order, comparing against each class's first member) and elects the
-// largest class; ties break toward the class containing the lowest ballot
-// index, so a split vote never outvotes the leader.
+// Vote partitions the ballots into agreement classes (see elect) and
+// elects the largest; ties break toward the class containing the lowest
+// ballot index, so a split vote never outvotes the leader.
 func Vote(ballots []Ballot) VoteResult {
-	classes := [][]int{} // each class holds ascending ballot indices
-	for i, b := range ballots {
-		if !b.Valid {
-			continue
-		}
-		placed := false
-		for ci, cls := range classes {
-			if ballotsAgree(ballots[cls[0]], b) {
-				classes[ci] = append(cls, i)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			classes = append(classes, []int{i})
-		}
-	}
-	// Largest class wins; classes were formed in ballot order, so the first
-	// maximal class is the one containing the lowest index.
-	best := -1
-	for ci, cls := range classes {
-		if best < 0 || len(cls) > len(classes[best]) {
-			best = ci
-		}
-	}
-	res := VoteResult{Winner: -1}
-	if best < 0 {
-		// No valid ballots at all: everyone loses.
-		for i := range ballots {
-			res.Losers = append(res.Losers, i)
-		}
-		return res
-	}
-	win := classes[best]
-	res.Winner = win[0]
-	res.Majority = len(win)
-	inWin := make(map[int]bool, len(win))
-	for _, i := range win {
-		inWin[i] = true
-	}
-	for i := range ballots {
-		if !inWin[i] {
+	class := make([]int, len(ballots))
+	winner, majority := elect(ballots, class)
+	res := VoteResult{Winner: winner, Majority: majority}
+	for i, c := range class {
+		if winner < 0 || c != winner {
 			res.Losers = append(res.Losers, i)
 		}
 	}
 	return res
+}
+
+// elect is the allocation-free core of Vote. It partitions the ballots
+// greedily in ballot order — each valid ballot joins the first class whose
+// founding (lowest-index) ballot it agrees with, or founds a new one — and
+// returns the founder and size of the largest class, the first such class
+// on a tie. class[i] receives ballot i's founder, -1 for an invalid ballot;
+// winner is -1 when no ballot is valid.
+func elect(ballots []Ballot, class []int) (winner, majority int) {
+	for i, b := range ballots {
+		class[i] = -1
+		if !b.Valid {
+			continue
+		}
+		class[i] = i
+		for f := 0; f < i; f++ {
+			if class[f] == f && ballotsAgree(ballots[f], b) {
+				class[i] = f
+				break
+			}
+		}
+	}
+	winner = -1
+	for f := range class {
+		if class[f] != f {
+			continue
+		}
+		size := 0
+		for _, c := range class[f:] {
+			if c == f {
+				size++
+			}
+		}
+		if size > majority {
+			winner, majority = f, size
+		}
+	}
+	return winner, majority
 }

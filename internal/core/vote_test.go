@@ -4,6 +4,9 @@ import (
 	"fmt"
 	"reflect"
 	"testing"
+
+	"smvx/internal/sim/kernel"
+	"smvx/internal/sim/machine"
 )
 
 // voteBallot builds a valid ballot for a "write(fd, buf, len)" call with
@@ -134,5 +137,41 @@ func TestVotePairDegenerates(t *testing.T) {
 	differ := Vote([]Ballot{voteBallot(0, 3), voteBallot(1, 4)})
 	if differ.Winner != 0 || differ.Majority != 1 || !reflect.DeepEqual(differ.Losers, []int{1}) {
 		t.Errorf("differing pair = %+v, want leader's singleton to win", differ)
+	}
+}
+
+// TestOutvotedForensicsNameTheVariant runs a three-variant set in which
+// only follower slot 2 flips a scalar argument: it is outvoted 2-to-1, and
+// the alarm's forensic snapshots must label its registers "follower2", not
+// the pair-era "follower" that would leave the report ambiguous.
+func TestOutvotedForensicsNameTheVariant(t *testing.T) {
+	env, mon, rec := policyApp(t, WithPolicy(PolicyLeaderContinue), WithVariants(3))
+	env.Prog.MustDefine("diverge_arg", func(th *machine.Thread, args []uint64) uint64 {
+		g := th.Global("g_buf")
+		th.WriteCString(g, "/f")
+		flags := uint64(kernel.OCreat | kernel.OWronly)
+		if th.Bias() == 2*FollowerDelta {
+			flags = 0
+		}
+		th.Libc("open", uint64(g), flags)
+		return 0
+	})
+	if completed, err := runRegions(t, env, mon, "diverge_arg", 1); err != nil || completed != 1 {
+		t.Fatalf("completed %d/1, err=%v", completed, err)
+	}
+	alarms := mon.Alarms()
+	if len(alarms) != 1 || alarms[0].Reason != AlarmOutvoted || alarms[0].Variant != 2 {
+		t.Fatalf("alarms = %v, want one outvote of variant 2", alarms)
+	}
+	infos := rec.Alarms()
+	if len(infos) != 1 {
+		t.Fatalf("recorder holds %d alarms, want 1", len(infos))
+	}
+	var roles []string
+	for _, sn := range infos[0].Snapshots {
+		roles = append(roles, sn.Role)
+	}
+	if want := []string{"leader", "follower2"}; !reflect.DeepEqual(roles, want) {
+		t.Errorf("snapshot roles = %q, want %q", roles, want)
 	}
 }

@@ -27,9 +27,9 @@ type GateRule struct {
 	Contains string
 	// Skip exempts matched metrics from gating entirely.
 	Skip bool
-	// Tolerance is the allowed relative increase of fresh over baseline
-	// (0.10 = +10%). Regressions are increases: every gated series is
-	// lower-is-better.
+	// Tolerance is the allowed relative regression of fresh against
+	// baseline (0.10 = 10%). A regression is an increase, except for the
+	// higher-is-better series (see higherIsBetter), where it is a drop.
 	Tolerance float64
 	// Slack is an absolute additive allowance on top of the relative band,
 	// for small-valued noisy series where a ratio alone is too strict.
@@ -62,8 +62,12 @@ func DefaultGateRules() []GateRule {
 		// median are the real perf contract; tail percentiles at C>1 measure
 		// queueing delay set by host goroutine scheduling (observed 2x
 		// run-to-run) so they only gate order-of-magnitude blowups, and the
-		// single worst request is pure scheduling artifact — ungated. rps
-		// and pct_native are higher-is-better and stay ungated.
+		// single worst request is pure scheduling artifact — ungated.
+		// Throughput gates as higher-is-better: rps at every concurrency,
+		// pct_native at C=1 only — at C=64 the native row's own rps moves
+		// run to run, and the ratio with it.
+		{Name: "fleet-rps", Contains: "fleet.", Suffix: ".rps", Tolerance: 0.05},
+		{Name: "fleet-pct-native", Contains: "fleet.", Suffix: ".c1.pct_native", Tolerance: 0.01},
 		{Name: "fleet-served", Contains: "fleet.", Suffix: ".completed", Tolerance: 0},
 		{Name: "fleet-throughput", Contains: "fleet.", Suffix: ".cycles_per_request", Tolerance: 0.35, Slack: 20000},
 		{Name: "fleet-p50", Contains: "fleet.", Suffix: ".p50_cycles", Tolerance: 0.5, Slack: 50000},
@@ -81,9 +85,9 @@ func DefaultGateRules() []GateRule {
 		// Survival benchmark: integrity/detection series are recorded as
 		// lower-is-better violation counts (undetected, benign_failed,
 		// pwned, leader_only, worker_dead) with deterministic baselines, so
-		// they gate exactly. Throughput stays ungated (higher-is-better,
-		// which the one-sided band cannot express), cycle/byte costs get a
-		// wide band, and snapshot counts a small absolute slack for cadence
+		// they gate exactly. Throughput stays ungated here (the fleet sweep
+		// carries the throughput contract), cycle/byte costs get a wide
+		// band, and snapshot counts a small absolute slack for cadence
 		// jitter against the region clock.
 		{Name: "survival-rps", Contains: "survival.", Suffix: ".rps", Skip: true},
 		{Name: "survival-pct", Contains: "survival.", Suffix: ".pct_native", Skip: true},
@@ -117,6 +121,13 @@ func DefaultGateRules() []GateRule {
 		// and bounded by its cycle inputs) and anything ungated.
 		{Name: "ungated", Skip: true},
 	}
+}
+
+// higherIsBetter reports whether a metric regresses by falling rather
+// than rising: throughput (.rps) and the share of native throughput
+// (.pct_native). Every other series is lower-is-better.
+func higherIsBetter(key string) bool {
+	return strings.HasSuffix(key, ".rps") || strings.HasSuffix(key, ".pct_native")
 }
 
 // LoadBench reads a BENCH_*.json artifact (flat metric name → value map,
@@ -162,8 +173,13 @@ func GateBench(base, fresh map[string]float64, rules []GateRule) []string {
 				fmt.Sprintf("%s: baseline metric missing from fresh run (rule %s)", key, rule.Name))
 			continue
 		}
-		limit := bv*(1+rule.Tolerance) + rule.Slack
-		if fv > limit {
+		if higherIsBetter(key) {
+			if floor := bv*(1-rule.Tolerance) - rule.Slack; fv < floor {
+				violations = append(violations,
+					fmt.Sprintf("%s: %.4g falls below baseline %.4g by more than %.0f%%+%.4g (rule %s)",
+						key, fv, bv, rule.Tolerance*100, rule.Slack, rule.Name))
+			}
+		} else if limit := bv*(1+rule.Tolerance) + rule.Slack; fv > limit {
 			violations = append(violations,
 				fmt.Sprintf("%s: %.4g exceeds baseline %.4g by more than %+.0f%%+%.4g (rule %s)",
 					key, fv, bv, rule.Tolerance*100, rule.Slack, rule.Name))

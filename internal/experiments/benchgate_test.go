@@ -9,11 +9,11 @@ import (
 
 func TestGateBenchPassesIdenticalRun(t *testing.T) {
 	base := map[string]float64{
-		"ledger.strict.phase.rendezvous.cycles": 100000,
-		"ledger.strict.phase.rendezvous.count":  50,
-		"ledger.strict.calls":                   100,
-		"ledger.strict.allocs_per_call":         1.5,
-		"ledger.strict.reconcile_pct":           0.0,
+		"ledger.strict.phase.rendezvous.cycles":  100000,
+		"ledger.strict.phase.rendezvous.count":   50,
+		"ledger.strict.calls":                    100,
+		"ledger.strict.allocs_per_call":          1.5,
+		"ledger.strict.reconcile_pct":            0.0,
 		"pipeline.overhead.strict.reduction_pct": 0,
 	}
 	if v := GateBench(base, base, DefaultGateRules()); len(v) != 0 {
@@ -32,6 +32,38 @@ func TestGateBenchFailsOnInjectedRegression(t *testing.T) {
 	}
 	if !strings.Contains(v[0], "ledger.lag16.phase.enqueue.cycles") {
 		t.Fatalf("violation does not name the metric: %s", v[0])
+	}
+}
+
+// Throughput is higher-is-better: a fleet rps drop past its 5% band and a
+// C=1 pct_native drop past 1% fail the gate, a rise passes, and the C=64
+// share of native stays ungated.
+func TestGateBenchFailsOnThroughputDrop(t *testing.T) {
+	base := map[string]float64{
+		"fleet.nginx.strict.c1.rps":         6408,
+		"fleet.nginx.strict.c1.pct_native":  19.1,
+		"fleet.nginx.strict.c64.pct_native": 17.9,
+		"fleet.nginx.lag16.c64.rps":         8860,
+	}
+	fresh := map[string]float64{
+		"fleet.nginx.strict.c1.rps":         6000,  // -6.4%
+		"fleet.nginx.strict.c1.pct_native":  18.8,  // -1.6%
+		"fleet.nginx.strict.c64.pct_native": 10,    // ungated
+		"fleet.nginx.lag16.c64.rps":         12000, // a gain
+	}
+	v := GateBench(base, fresh, DefaultGateRules())
+	if len(v) != 2 {
+		t.Fatalf("violations = %v, want the c1 rps and pct_native drops", v)
+	}
+	for i, key := range []string{"fleet.nginx.strict.c1.pct_native", "fleet.nginx.strict.c1.rps"} {
+		if !strings.Contains(v[i], key) || !strings.Contains(v[i], "falls below") {
+			t.Errorf("violation %d = %q, want a drop of %s", i, v[i], key)
+		}
+	}
+	fresh["fleet.nginx.strict.c1.rps"] = 6200 // -3.2%, inside the band
+	fresh["fleet.nginx.strict.c1.pct_native"] = 19.0
+	if v := GateBench(base, fresh, DefaultGateRules()); len(v) != 0 {
+		t.Fatalf("drops inside the bands violate the gate: %v", v)
 	}
 }
 
@@ -71,7 +103,7 @@ func TestGateBenchReconcileCeiling(t *testing.T) {
 func TestGateBenchIgnoresUngatedAndNewMetrics(t *testing.T) {
 	base := map[string]float64{"pipeline.overhead.lag16.reduction_pct": 66}
 	fresh := map[string]float64{
-		"pipeline.overhead.lag16.reduction_pct": 20, // worse, but ungated ratio
+		"pipeline.overhead.lag16.reduction_pct": 20,  // worse, but ungated ratio
 		"ledger.brandnew.series":                1e9, // fresh-only: addition
 	}
 	if v := GateBench(base, fresh, DefaultGateRules()); len(v) != 0 {

@@ -33,9 +33,9 @@ const (
 	// injected 64M-cycle stall blows it, large enough that honest regions
 	// never come close.
 	chaosDeadline clock.Cycles = 4_000_000
-	// chaosRestartBudget and chaosRestartBackoff keep PolicyRestartFollower
+	// chaosRestartBudget and chaosRestartBackoff keep PolicyRestartVariant
 	// on a short leash: two re-clones, then leader-only.
-	chaosRestartBudget  = 2
+	chaosRestartBudget               = 2
 	chaosRestartBackoff clock.Cycles = 1_000
 )
 
@@ -58,7 +58,7 @@ var chaosFaults = []struct {
 var chaosPolicies = []core.DivergencePolicy{
 	core.PolicyKillBoth,
 	core.PolicyLeaderContinue,
-	core.PolicyRestartFollower,
+	core.PolicyRestartVariant,
 }
 
 // ChaosCell is one (fault, policy) outcome.

@@ -139,7 +139,7 @@ var survivalFaults = []struct {
 var survivalPolicies = []core.DivergencePolicy{
 	core.PolicyKillBoth,
 	core.PolicyLeaderContinue,
-	core.PolicyRestartFollower,
+	core.PolicyRestartVariant,
 	core.PolicyRollback,
 }
 

@@ -81,7 +81,7 @@ const (
 	// EvFollowerDetached marks the divergence policy severing the follower
 	// from lockstep: Name is the cause, Arg0 the libc-call count at detach.
 	EvFollowerDetached
-	// EvFollowerRestarted marks PolicyRestartFollower re-cloning a fresh
+	// EvFollowerRestarted marks PolicyRestartVariant re-cloning a fresh
 	// follower at a region entry: Name is the protected function, Arg0 the
 	// restart ordinal (1-based).
 	EvFollowerRestarted

@@ -160,14 +160,12 @@ const (
 
 // Divergence policies, re-exported.
 const (
-	PolicyKillBoth        = core.PolicyKillBoth
-	PolicyLeaderContinue  = core.PolicyLeaderContinue
-	PolicyRestartFollower = core.PolicyRestartFollower
-	PolicyRollback        = core.PolicyRollback
-	// PolicyRestartVariant is the variant-set spelling of
-	// PolicyRestartFollower: the quarantined variant, whichever slot it
-	// holds, is re-cloned at the next protected-region entry.
+	PolicyKillBoth       = core.PolicyKillBoth
+	PolicyLeaderContinue = core.PolicyLeaderContinue
+	// PolicyRestartVariant re-clones the quarantined variant, whichever
+	// slot it holds, at the next protected-region entry.
 	PolicyRestartVariant = core.PolicyRestartVariant
+	PolicyRollback       = core.PolicyRollback
 )
 
 // Lockstep modes, re-exported.
@@ -221,7 +219,7 @@ var (
 	WithRecorder = core.WithRecorder
 	// WithPolicy selects the divergence-response policy.
 	WithPolicy = core.WithPolicy
-	// WithRestartBudget bounds PolicyRestartFollower's re-clones.
+	// WithRestartBudget bounds PolicyRestartVariant's re-clones.
 	WithRestartBudget = core.WithRestartBudget
 	// WithRestartBackoff delays the next restart after a detach.
 	WithRestartBackoff = core.WithRestartBackoff

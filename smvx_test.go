@@ -126,7 +126,7 @@ func TestPipelinedModeThroughFacade(t *testing.T) {
 }
 
 func TestEnumParsersRoundTrip(t *testing.T) {
-	for _, p := range []DivergencePolicy{PolicyKillBoth, PolicyLeaderContinue, PolicyRestartFollower, PolicyRollback} {
+	for _, p := range []DivergencePolicy{PolicyKillBoth, PolicyLeaderContinue, PolicyRestartVariant, PolicyRollback} {
 		got, err := ParsePolicy(p.String())
 		if err != nil || got != p {
 			t.Errorf("ParsePolicy(%q) = %v, %v", p, got, err)
