@@ -7,20 +7,36 @@ import (
 	"smvx/internal/sim/machine"
 )
 
-// rendezvousAllocs measures the heap allocations one strict rendezvous
-// costs at the given variant-set size: both sides of the exchange (the
-// followers' marshal and reply lanes, the leader's collection, decode,
-// compare and libc call). Region entry and exit cost a fixed amount per
-// region, so the per-call figure is the difference between a long and a
-// short region, divided by the extra calls and rounded.
-func rendezvousAllocs(t *testing.T, variants int) float64 {
+// callAllocs measures the heap allocations one lockstep libc call costs
+// under the given options: both sides of the exchange (the followers'
+// marshal and reply lanes or ring drains, the leader's collection, decode,
+// compare, emulation and libc call). Region entry and exit cost a fixed
+// amount per region, so the per-call figure is the difference between a
+// long and a short region, divided by the extra calls and rounded.
+//
+// call selects the loop body: "time" is time(0), which returns its result
+// in a register; "gettimeofday" writes a timeval into a buffer malloc'd on
+// region entry, so every call's output buffer is emulated to the
+// followers.
+func callAllocs(t *testing.T, call string, opts ...Option) float64 {
 	t.Helper()
 	env, _ := testApp(t)
-	mon := New(env.Machine, env.LibC, WithSeed(11), WithVariants(variants))
+	mon := New(env.Machine, env.LibC, append([]Option{WithSeed(11)}, opts...)...)
 	calls := 0 // set between regions only, read by every variant
 	env.Prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
-		for i := 0; i < calls; i++ {
-			th.Libc("time", 0)
+		switch call {
+		case "time":
+			for i := 0; i < calls; i++ {
+				th.Libc("time", 0)
+			}
+		case "gettimeofday":
+			tv := th.Libc("malloc", 16)
+			for i := 0; i < calls; i++ {
+				th.Libc("gettimeofday", tv, 0)
+			}
+			th.Libc("free", tv)
+		default:
+			t.Errorf("unknown loop body %q", call)
 		}
 		return 0
 	})
@@ -60,19 +76,43 @@ func rendezvousAllocs(t *testing.T, variants int) float64 {
 }
 
 // TestStrictRendezvousAllocs pins the exact heap allocations per strict
-// rendezvous. The figure is an exact count, not a band: one new allocation
-// per call on the hot path — a per-call scratch slice, a second decode of
-// the same record — moves it and fails the test.
+// rendezvous, for a call that returns in a register and for one whose
+// output buffer is emulated. The figure is an exact count, not a band:
+// one new allocation per call on the hot path — a per-call scratch slice,
+// a second decode of the same record — moves it and fails the test.
 func TestStrictRendezvousAllocs(t *testing.T) {
+	for _, c := range []struct {
+		call     string
+		variants int
+		want     float64
+	}{
+		{"time", 2, 8},
+		{"time", 3, 15},
+		{"gettimeofday", 2, 9},
+		{"gettimeofday", 3, 17},
+	} {
+		if got := callAllocs(t, c.call, WithVariants(c.variants)); got != c.want {
+			t.Errorf("%s, N=%d: %v allocs per strict rendezvous, want %v", c.call, c.variants, got, c.want)
+		}
+	}
+}
+
+// TestPipelinedEmulationAllocs pins the exact heap allocations per
+// pipelined call whose output buffer rides the result record (lag window
+// 64): the leader's capture and record, and each follower's decode and
+// apply.
+func TestPipelinedEmulationAllocs(t *testing.T) {
 	for _, c := range []struct {
 		variants int
 		want     float64
 	}{
-		{2, 8},
-		{3, 15},
+		{2, 11},
+		{3, 20},
 	} {
-		if got := rendezvousAllocs(t, c.variants); got != c.want {
-			t.Errorf("N=%d: %v allocs per strict rendezvous, want %v", c.variants, got, c.want)
+		got := callAllocs(t, "gettimeofday", WithVariants(c.variants),
+			WithLockstepMode(LockstepPipelined), WithLagWindow(64))
+		if got != c.want {
+			t.Errorf("N=%d: %v allocs per pipelined emulated call, want %v", c.variants, got, c.want)
 		}
 	}
 }

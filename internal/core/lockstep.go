@@ -326,17 +326,18 @@ func (s *session) watch(deadline clock.Cycles) {
 // rendezvous with every attached follower slot (see rendezvous).
 // Pipelined sessions branch into the run-ahead engine (pipeline.go).
 func (s *session) leaderCall(t *machine.Thread, name string, args []uint64) uint64 {
-	if s.pipelined {
-		return s.leaderCallPipelined(t, name, args)
-	}
 	idx := s.calls.Add(1)
 	att := s.attached()
 	if len(att) == 0 {
 		// Degraded single-variant mode after a policy detach: no
 		// rendezvous to charge or wait for. Under rollback the detach means
-		// a follower faulted — unwind instead of running un-replicated.
+		// a follower was severed mid-region — unwind instead of running
+		// un-replicated.
 		s.maybeAbortRegion(t, name, idx)
 		return s.mon.lib.Call(t, name, args)
+	}
+	if s.pipelined {
+		return s.leaderCallPipelined(t, name, args, idx, att)
 	}
 	return s.rendezvous(t, name, args, idx, att, false)
 }
@@ -467,7 +468,7 @@ func (s *session) openLanes(t *machine.Thread, name string, args []uint64, idx u
 			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name),
 				0, mshMark, uint64(len(rec.wire)))
 		}
-		switch s.appendRecord(t, sl, rec) {
+		switch v, _ := s.appendRecord(t, sl, rec); v {
 		case appendOK:
 			lanes = append(lanes, ballot{slot: sl, lane: rec.reply})
 		case appendDead:
@@ -622,7 +623,10 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, idx uin
 		}
 		return s.mon.lib.Call(t, name, args)
 	case 1:
-		if !s.pairwise(t, name, args, idx, &valid[0]) {
+		// The paper's two-party check against the one follower ballot
+		// left (Section 3.3).
+		if a, cause, ok := compareCalls(idx, name, args, valid[0].name, valid[0].args); !ok {
+			s.reject(t, &valid[0], a, "", cause)
 			return s.mon.lib.Call(t, name, args)
 		}
 	default:
@@ -655,8 +659,11 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, idx uin
 		return ret
 	}
 	// Leader-only execution; each agreeing follower receives the return
-	// value, errno, and output buffers over its own lane. Replies go out
-	// only once the emulation is booked, so no follower runs ahead of it.
+	// value, errno, and output buffers over its own lane — captured and
+	// applied by the same pair of helpers as a pipelined result record,
+	// minus the ring. The copy runs inside the rendezvous, so it is
+	// charged to no thread. Replies go out only once the emulation is
+	// booked, so no follower runs ahead of it.
 	errno := t.Errno()
 	var esp obs.EmulationSpan
 	if obsRec != nil {
@@ -666,7 +673,8 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, idx uin
 	var faulted [MaxVariants - 1]bool
 	total := 0
 	for i, w := range valid {
-		copied, efault := s.emulate(name, args, w.args, ret, idx, w.slot.delta)
+		out := s.captureOutputs(name, args, ret, w.slot.delta)
+		copied, efault := s.applyResult(nil, w.slot, name, idx, args, w.args, out)
 		total += copied
 		faulted[i] = efault
 	}
@@ -692,25 +700,24 @@ func (s *session) resolve(t *machine.Thread, name string, args []uint64, idx uin
 	return ret
 }
 
-// pairwise is the paper's two-party check against the one follower ballot
-// left (Section 3.3): the same libc function, then the same non-pointer
-// argument values. A mismatch rejects the ballot with the pairwise alarm.
-func (s *session) pairwise(t *machine.Thread, name string, args []uint64, idx uint64, b *ballot) bool {
-	if b.name != name {
-		s.reject(t, b, Alarm{
-			Reason: AlarmCallMismatch, CallIndex: idx, LeaderCall: name, FollowerCall: b.name,
-			Detail: fmt.Sprintf("leader called %s, follower called %s", name, b.name),
-		}, "", "call-mismatch")
-		return false
+// compareCalls is the paper's two-party lockstep check (Section 3.3),
+// shared by the strict rendezvous and the pipelined drain: the same libc
+// function, then the same non-pointer argument values. On a mismatch it
+// returns the alarm to raise against the follower and the policy cause.
+func compareCalls(idx uint64, lname string, largs []uint64, fname string, fargs []uint64) (a Alarm, cause string, ok bool) {
+	if lname != fname {
+		return Alarm{
+			Reason: AlarmCallMismatch, CallIndex: idx, LeaderCall: lname, FollowerCall: fname,
+			Detail: fmt.Sprintf("leader called %s, follower called %s", lname, fname),
+		}, "call-mismatch", false
 	}
-	if bad, li, fi := scalarMismatch(name, args, b.args); bad {
-		s.reject(t, b, Alarm{
-			Reason: AlarmArgMismatch, CallIndex: idx, LeaderCall: name, FollowerCall: b.name,
-			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", name, li, fi),
-		}, "", "arg-mismatch")
-		return false
+	if bad, li, fi := scalarMismatch(fname, largs, fargs); bad {
+		return Alarm{
+			Reason: AlarmArgMismatch, CallIndex: idx, LeaderCall: lname, FollowerCall: fname,
+			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", fname, li, fi),
+		}, "arg-mismatch", false
 	}
-	return true
+	return Alarm{}, "", true
 }
 
 // vote resolves the leader's ballot against two or more follower ballots
@@ -813,202 +820,107 @@ func (s *session) followerCall(t *machine.Thread, sl *followerSlot, name string,
 	if s.pipelined {
 		return s.followerCallPipelined(t, sl, name, args)
 	}
-	fv := obs.FollowerVariant(sl.id)
 	cyc := t.UserCycles()
+	rec, waitStart := s.castBallot(t, sl, name, args, cyc-sl.fCycles)
+	sl.fCycles = cyc
+	at := s.arrive(args)
+	select {
+	case sl.req <- rec:
+		return s.followerVerdict(t, sl, name, args, <-rec.resp, waitStart, at)
+	case <-sl.detachCh:
+		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
+	case <-s.leaderDone:
+		s.leaderGone(t, sl, name) // never returns
+		return 0
+	}
+}
+
+// castBallot builds a follower's half of a full rendezvous — a strict call
+// or a pipelined barrier — and books its marshalling. lag is the
+// follower's own work since its previous rendezvous. It returns the record
+// and the start of the follower's wait for the verdict.
+func (s *session) castBallot(t *machine.Thread, sl *followerSlot, name string, args []uint64, lag clock.Cycles) (*callRecord, clock.Cycles) {
 	mshMark := s.lr.Mark()
 	rec := &callRecord{
 		name: name, args: args, wire: encodeCallRecord(name, args),
 		thread: t, resp: make(chan callResult, 1),
-		lag: cyc - sl.fCycles,
+		lag: lag,
 	}
-	sl.fCycles = cyc
-	lr := s.lr
-	var cls ledger.Class
-	var fwaitStart clock.Cycles
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-		lr.Add(ledger.PhaseMarshal, fv, cls, 0, mshMark, uint64(len(rec.wire)))
-		fwaitStart = s.mon.m.Counter().Cycles()
+	var waitStart clock.Cycles
+	if lr := s.lr; lr != nil {
+		lr.Add(ledger.PhaseMarshal, obs.FollowerVariant(sl.id), ledger.ClassOf(name),
+			0, mshMark, uint64(len(rec.wire)))
+		waitStart = s.mon.m.Counter().Cycles()
 	}
+	return rec, waitStart
+}
+
+// arrival is what a follower's libc-enter event needs when the call never
+// reaches libc on the follower: the time the follower arrived at the call
+// and its first two arguments. It is zero when no recorder is attached.
+type arrival struct {
+	ts     clock.Cycles
+	a0, a1 uint64
+}
+
+func (s *session) arrive(args []uint64) arrival {
+	if s.mon.rec == nil {
+		return arrival{}
+	}
+	return arrival{ts: s.mon.m.Counter().Cycles(), a0: argAt(args, 0), a1: argAt(args, 1)}
+}
+
+// followerVerdict acts on the leader's reply to a follower ballot: run a
+// user-space call locally, take an emulated result, or wind the follower
+// down on a detach or divergence verdict. The follower's wait since
+// waitStart is booked first.
+func (s *session) followerVerdict(t *machine.Thread, sl *followerSlot, name string, args []uint64, res callResult, waitStart clock.Cycles, at arrival) uint64 {
+	fv := obs.FollowerVariant(sl.id)
+	if lr := s.lr; lr != nil {
+		lr.Add(ledger.PhaseWait, fv, ledger.ClassOf(name),
+			s.mon.m.Counter().Cycles()-waitStart, ledger.Mark{}, 0)
+	}
+	if res.mode == modeLocal {
+		// lib.Call records the follower's enter/exit events itself.
+		return s.mon.lib.Call(t, name, args)
+	}
+	// The follower never reaches libc for this call, so record the enter
+	// here, back-dated to the rendezvous arrival.
 	obsRec := s.mon.rec
-	var arriveTS clock.Cycles
-	var a0, a1 uint64
 	if obsRec != nil {
-		arriveTS = s.mon.m.Counter().Cycles()
-		if len(args) > 0 {
-			a0 = args[0]
-		}
-		if len(args) > 1 {
-			a1 = args[1]
-		}
+		obsRec.RecordInAt(at.ts, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, at.a0, at.a1, 0)
 	}
-	select {
-	case sl.req <- rec:
-		res := <-rec.resp
-		if lr != nil {
-			lr.Add(ledger.PhaseWait, fv, cls,
-				s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
-		}
-		switch res.mode {
-		case modeLocal:
-			// lib.Call records the follower's enter/exit events itself.
-			return s.mon.lib.Call(t, name, args)
-		case modeEmulated:
-			// The follower never reaches libc for this call, so record the
-			// pair here: enter back-dated to the rendezvous arrival, exit
-			// when the emulated result lands.
-			if obsRec != nil {
-				obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-				obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
-			}
-			t.SetErrno(res.errno)
-			return res.ret
-		case modeDetach:
-			// The policy severed this follower; wind it down without a
-			// fresh divergence panic.
-			if obsRec != nil {
-				obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-			}
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		default:
-			if obsRec != nil {
-				obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-			}
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
-		}
-	case <-sl.detachCh:
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-	case <-s.leaderDone:
-		if sl.detached() {
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		}
-		// The leader already left the region: the follower is executing
-		// calls the leader never made. The leader is no longer in the
-		// region, so only the follower's own thread may be snapshotted.
-		var snaps []obs.ThreadSnapshot
+	switch res.mode {
+	case modeEmulated:
+		// The exit lands with the emulated result.
 		if obsRec != nil {
-			snaps = []obs.ThreadSnapshot{s.mon.snapshot(fv.String(), t)}
+			obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
 		}
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
-			FollowerCall: name, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
-		}, snaps...)
-		s.diverged.Store(true)
+		t.SetErrno(res.errno)
+		return res.ret
+	case modeDetach:
+		// The policy severed this follower; wind it down without a fresh
+		// divergence panic.
+		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
+	default:
 		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
 	}
 }
 
-// emulate copies the leader's output buffers into one follower's
-// corresponding buffers, translating embedded pointers for the special
-// category, and returns bytes copied plus whether a follower destination
-// buffer was unwritable (AlarmEmulationFault raised). delta is the target
-// slot's window shift — pointer rebasing lands in that slot's window.
-// Copies run with monitor privileges (raw address-space access — the
-// monitor's PKRU has every key enabled).
-func (s *session) emulate(name string, leaderArgs, followerArgs []uint64, ret uint64, idx uint64, delta int64) (int, bool) {
-	as := s.mon.m.AddressSpace()
-	costs := s.mon.m.Costs()
-	faulted := false
-	arg := func(a []uint64, i int) uint64 {
-		if i < len(a) {
-			return a[i]
-		}
-		return 0
+// leaderGone ends a follower call that found the leader already out of
+// the region. A detached slot just winds down; otherwise the follower is
+// executing calls the leader never made. Never returns.
+func (s *session) leaderGone(t *machine.Thread, sl *followerSlot, name string) {
+	if sl.detached() {
+		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
 	}
-	copyBuf := func(argIdx, n int) int {
-		if n <= 0 {
-			return 0
-		}
-		src := mem.Addr(arg(leaderArgs, argIdx))
-		dst := mem.Addr(arg(followerArgs, argIdx))
-		if src == 0 || dst == 0 {
-			return 0
-		}
-		buf := make([]byte, n)
-		if err := as.ReadAt(src, buf); err != nil {
-			return 0
-		}
-		if err := as.WriteAt(dst, buf); err != nil {
-			// The follower's destination buffer is unmapped or
-			// unwritable — a corrupted follower. Attribute it precisely
-			// so replay diffing can tell it apart from the generic
-			// divergence the stale data would cause later.
-			s.mon.raiseAlarm(Alarm{
-				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
-				LeaderCall: name, Variant: VariantID(int(delta / s.delta)),
-				Detail: fmt.Sprintf("emulation copy of %d bytes into follower buffer %#x failed: %v",
-					n, dst, err),
-			})
-			s.diverged.Store(true)
-			faulted = true
-			return 0
-		}
-		_ = as.CopyTaint(dst, src, n)
-		s.mon.m.ChargeThread(nil, costs.LockstepCopyPerByte*cyclesOf(n))
-		if s.mon.opts.Policy == PolicyRollback {
-			// The kernel-sourced bytes just landed in the follower's
-			// buffer; log them so a rollback can replay the post-snapshot
-			// libc tail (buf is freshly allocated per call — safe to keep).
-			s.mon.redo.Append(idx, name, dst, buf)
-		}
-		return n
-	}
-
-	retN := 0
-	if int64(ret) > 0 {
-		retN = int(int64(ret))
-	}
-	copied := 0
-	switch name {
-	case "read", "recv":
-		copied = copyBuf(1, retN)
-	case "stat", "fstat":
-		copied = copyBuf(1, 24)
-	case "gettimeofday":
-		copied = copyBuf(0, 16)
-	case "time":
-		copied = copyBuf(0, 8)
-	case "localtime_r":
-		copied = copyBuf(1, 64)
-	case "getsockopt":
-		copied = copyBuf(2, 8)
-	case "ioctl":
-		// Special: the third argument is emulated only when it looks like
-		// a pointer into the process's address space (Section 3.3).
-		if s.inLeaderSpace(mem.Addr(arg(leaderArgs, 2))) {
-			copied = copyBuf(2, 8)
-		}
-	case "epoll_wait", "epoll_pwait":
-		// Special: copy the events array; epoll_data entries that are
-		// pointers into the leader's space must be rebased into the
-		// follower's window (Section 3.3).
-		n := retN
-		src := mem.Addr(arg(leaderArgs, 1))
-		dst := mem.Addr(arg(followerArgs, 1))
-		total := 0
-		for i := 0; i < n; i++ {
-			var entry [16]byte
-			if err := as.ReadAt(src+mem.Addr(i*16), entry[:]); err != nil {
-				break
-			}
-			data := fromLE(entry[8:])
-			if s.inLeaderSpace(mem.Addr(data)) {
-				data = uint64(int64(data) + delta)
-				toLE(entry[8:], data)
-			}
-			if err := as.WriteAt(dst+mem.Addr(i*16), entry[:]); err != nil {
-				break
-			}
-			if s.mon.opts.Policy == PolicyRollback {
-				s.mon.redo.Append(idx, name, dst+mem.Addr(i*16), append([]byte(nil), entry[:]...))
-			}
-			total += 16
-		}
-		s.mon.m.ChargeThread(nil, costs.LockstepCopyPerByte*cyclesOf(total))
-		copied = total
-	}
-	return copied, faulted
+	s.mon.raiseAlarm(Alarm{
+		Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
+		FollowerCall: name, Variant: VariantID(sl.id),
+		Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
+	}, s.mon.followerSnapshots(sl.id, t)...)
+	s.diverged.Store(true)
+	panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
 }
 
 // inLeaderSpace reports whether v falls inside the leader's image or heap —

@@ -787,6 +787,17 @@ func (mo *Monitor) snapshot(role string, t *machine.Thread) obs.ThreadSnapshot {
 	}
 }
 
+// followerSnapshots captures one follower's thread state for an alarm
+// raised on that follower's own goroutine, labelled by its slot. The
+// leader may be running concurrently, so only the follower's thread is
+// read. Nil when no recorder is attached.
+func (mo *Monitor) followerSnapshots(id int, t *machine.Thread) []obs.ThreadSnapshot {
+	if mo.rec == nil {
+		return nil
+	}
+	return []obs.ThreadSnapshot{mo.snapshot(obs.FollowerVariant(id).String(), t)}
+}
+
 // variantOfThread labels a thread by its address-window bias: slot k's
 // window sits at k*Delta.
 func (mo *Monitor) variantOfThread(t *machine.Thread) obs.Variant {

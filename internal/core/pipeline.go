@@ -98,8 +98,9 @@ type leaderRecord struct {
 	reply   chan *callRecord
 }
 
-// emuBuf is one output-buffer snapshot inside a result record: the bytes
-// the leader's call wrote through its argIdx-th pointer argument.
+// emuBuf is one output-buffer snapshot: the bytes the leader's call wrote
+// through its argIdx-th pointer argument, framed into a pipelined result
+// record or applied straight from the capture at a strict rendezvous.
 type emuBuf struct {
 	argIdx int
 	data   []byte
@@ -115,20 +116,11 @@ const (
 	appendTimedOut
 )
 
-// leaderCallPipelined runs the leader's side of one pipelined libc call:
-// classify, execute, publish on every live slot's ring (blocking only when
-// a lag window is exhausted), and barrier where the effects become
-// externally visible.
-func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uint64) uint64 {
-	idx := s.calls.Add(1)
-	att := s.attached()
-	if len(att) == 0 {
-		// Degraded single-variant mode after a policy detach. Under
-		// rollback the detach means a follower was severed mid-region —
-		// unwind instead of running un-replicated.
-		s.maybeAbortRegion(t, name, idx)
-		return s.mon.lib.Call(t, name, args)
-	}
+// leaderCallPipelined runs the leader's side of one pipelined libc call
+// among the attached slots att: classify, execute, publish on every live
+// slot's ring (blocking only when a lag window is exhausted), and barrier
+// where the effects become externally visible.
+func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uint64, idx uint64, att []*followerSlot) uint64 {
 	live := att[:0]
 	anyDead := false
 	for _, sl := range att {
@@ -160,15 +152,16 @@ func (s *session) leaderCallPipelined(t *machine.Thread, name string, args []uin
 // call executes first, once: each record carries the concrete result, with
 // output-buffer snapshots taken now (so the leader overwriting the buffer
 // while running ahead cannot corrupt a follower's copy) and rebased into
-// that slot's window.
+// that slot's window. The leader's wait is what its appends blocked on
+// full rings, at any set size; the captures are not part of it.
 func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uint64, live []*followerSlot) uint64 {
 	entry := s.mon.m.Costs().LockstepEnqueue * clock.Cycles(len(live))
 	s.mon.m.ChargeThread(t, entry)
 	ret := s.mon.lib.Call(t, name, args)
 	errno := t.Errno()
 	local := libc.SyncClassOf(name) == libc.SyncLocal
-	enqStart := s.mon.m.Counter().Cycles()
 	var wire []byte
+	var wait clock.Cycles
 	anyOK, timedOut := false, false
 	maxDepth := 0
 	for _, sl := range live {
@@ -178,18 +171,19 @@ func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uin
 		}
 		rec := &leaderRecord{idx: idx, name: name, wire: wire, cat: libc.CategoryOf(name), local: local}
 		if !local {
-			rec.result = encodeResultRecord(ret, errno, s.captureOutputs(name, args, ret, sl.delta))
+			var bufs []emuBuf
+			if out := s.captureOutputs(name, args, ret, sl.delta); out.data != nil {
+				bufs = []emuBuf{out}
+			}
+			rec.result = encodeResultRecord(ret, errno, bufs)
 		}
 		if lr := s.lr; lr != nil {
 			lr.Add(ledger.PhaseMarshal, obs.VariantLeader, ledger.ClassOf(name), 0, mshMark,
 				uint64(len(rec.wire)+len(rec.result)))
 		}
-		if len(live) == 1 {
-			// A lone slot's wait starts once its record is captured (the
-			// pair discipline); a larger set's spans the whole publication.
-			enqStart = s.mon.m.Counter().Cycles()
-		}
-		switch s.appendRecord(t, sl, rec) {
+		verdict, blocked := s.appendRecord(t, sl, rec)
+		wait += blocked
+		switch verdict {
 		case appendDead:
 			s.diverged.Store(true)
 		case appendTimedOut:
@@ -211,59 +205,59 @@ func (s *session) enqueue(t *machine.Thread, name string, args []uint64, idx uin
 		}
 		return ret
 	}
-	s.settle(t, name, ledger.PhaseEnqueue, entry, s.mon.m.Counter().Cycles()-enqStart, maxDepth)
+	s.settle(t, name, ledger.PhaseEnqueue, entry, wait, maxDepth)
 	return ret
 }
 
 // appendRecord publishes one record on a slot's ring, blocking when its
-// lag window is exhausted — the bounded run-ahead backpressure. The wait
-// is parked under waitingSince like a strict rendezvous so the watchdog
-// can see it.
-func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderRecord) appendVerdict {
+// lag window is exhausted — the bounded run-ahead backpressure — and
+// returns the cycles it blocked (0 when the ring had room). The wait is
+// parked under waitingSince like a strict rendezvous so the watchdog can
+// see it.
+func (s *session) appendRecord(t *machine.Thread, sl *followerSlot, rec *leaderRecord) (appendVerdict, clock.Cycles) {
 	select {
 	case <-sl.dead:
-		return appendDead
+		return appendDead, 0
 	case <-sl.detachCh:
-		return appendDetached
+		return appendDetached, 0
 	default:
 	}
 	select {
 	case sl.ring <- rec:
-		return appendOK
+		return appendOK, 0
 	default:
 	}
 	waitStart := s.mon.m.Counter().Cycles()
 	s.waitingSince.Store(int64(waitStart) + 1)
-	defer s.waitingSince.Store(0)
-	unblocked := func() appendVerdict {
-		now := s.mon.m.Counter().Cycles()
-		t.AddWaitCycles(now - waitStart)
-		if obsRec := s.mon.rec; obsRec != nil {
-			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(now-waitStart))
-		}
-		return appendOK
-	}
+	var v appendVerdict
 	select {
 	case sl.ring <- rec:
-		return unblocked()
 	case <-sl.dead:
-		return appendDead
+		v = appendDead
 	case <-sl.detachCh:
-		return appendDetached
+		v = appendDetached
 	case <-s.timedOut:
 		// Grace: a stalled-but-charging follower raises its own timeout
 		// (or frees a slot) within this window; see pipelineGrace.
 		select {
 		case sl.ring <- rec:
-			return unblocked()
 		case <-sl.dead:
-			return appendDead
+			v = appendDead
 		case <-sl.detachCh:
-			return appendDetached
+			v = appendDetached
 		case <-time.After(pipelineGrace):
-			return appendTimedOut
+			v = appendTimedOut
 		}
 	}
+	wait := s.mon.m.Counter().Cycles() - waitStart
+	s.waitingSince.Store(0)
+	if v == appendOK {
+		t.AddWaitCycles(wait)
+		if obsRec := s.mon.rec; obsRec != nil {
+			obsRec.Metrics().Observe("lockstep.wait.cycles", uint64(wait))
+		}
+	}
+	return v, wait
 }
 
 // enqueueTimedOut handles a blown deadline while the leader was parked on
@@ -311,18 +305,8 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 			s.mon.m.Counter().Cycles()-dqStart, ledger.Mark{}, 0)
 	}
 
+	at := s.arrive(args)
 	obsRec := s.mon.rec
-	var arriveTS clock.Cycles
-	var a0, a1 uint64
-	if obsRec != nil {
-		arriveTS = s.mon.m.Counter().Cycles()
-		if len(args) > 0 {
-			a0 = args[0]
-		}
-		if len(args) > 1 {
-			a1 = args[1]
-		}
-	}
 	var dspan obs.DrainSpan
 	if obsRec != nil {
 		dspan = obsRec.BeginDrainSpan(fv, t.TID(), name, uint64(rec.cat))
@@ -334,24 +318,12 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	lname, largs, derr := decodeCallRecord(rec.wire)
 	if derr != nil {
 		s.drainDiverged(t, sl, Alarm{
-			Reason: AlarmCallMismatch, CallIndex: rec.idx, Function: s.fn,
-			FollowerCall: name,
-			Detail:       fmt.Sprintf("corrupt IPC call record: %v", derr),
+			Reason: AlarmCallMismatch, CallIndex: rec.idx, FollowerCall: name,
+			Detail: fmt.Sprintf("corrupt IPC call record: %v", derr),
 		}, "ipc-corruption")
 	}
-	if lname != name {
-		s.drainDiverged(t, sl, Alarm{
-			Reason: AlarmCallMismatch, CallIndex: rec.idx, Function: s.fn,
-			LeaderCall: lname, FollowerCall: name,
-			Detail: fmt.Sprintf("leader called %s, follower called %s", lname, name),
-		}, "call-mismatch")
-	}
-	if bad, li, fi := scalarMismatch(name, largs, args); bad {
-		s.drainDiverged(t, sl, Alarm{
-			Reason: AlarmArgMismatch, CallIndex: rec.idx, Function: s.fn,
-			LeaderCall: lname, FollowerCall: name,
-			Detail: fmt.Sprintf("%s arg mismatch: leader %#x vs follower %#x", name, li, fi),
-		}, "arg-mismatch")
+	if a, cause, ok := compareCalls(rec.idx, lname, largs, name, args); !ok {
+		s.drainDiverged(t, sl, a, cause)
 	}
 
 	if obsRec != nil {
@@ -367,7 +339,24 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	}
 
 	if rec.barrier {
-		ret := s.followerBarrier(t, sl, name, args, rec, lag, arriveTS, a0, a1)
+		// Everything before this call has drained: hand the follower's own
+		// ballot back through the record's reply channel and take the
+		// leader's verdict exactly as in strict lockstep.
+		frec, waitStart := s.castBallot(t, sl, name, args, lag)
+		rec.reply <- frec // cap 1: never blocks
+		var res callResult
+		select {
+		case res = <-frec.resp:
+		case <-sl.detachCh:
+			// A buffered verdict beats the detach signal (select picks ready
+			// cases at random; the reply may already be in flight).
+			select {
+			case res = <-frec.resp:
+			default:
+				panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
+			}
+		}
+		ret := s.followerVerdict(t, sl, name, args, res, waitStart, at)
 		dspan.End(ret)
 		return ret
 	}
@@ -384,12 +373,12 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	ret, errno, bufs, rerr := decodeResultRecord(rec.result)
 	if rerr != nil {
 		s.drainDiverged(t, sl, Alarm{
-			Reason: AlarmCallMismatch, CallIndex: rec.idx, Function: s.fn,
+			Reason: AlarmCallMismatch, CallIndex: rec.idx,
 			LeaderCall: lname, FollowerCall: name,
 			Detail: fmt.Sprintf("corrupt IPC result record: %v", rerr),
 		}, "ipc-corruption")
 	}
-	copied, faulted := s.applyResult(t, sl, name, rec.idx, largs, args, bufs)
+	copied, faulted := s.applyResult(t, sl, name, rec.idx, largs, args, bufs...)
 	if lr != nil {
 		lr.Add(ledger.PhaseEmulate, fv, cls,
 			costs.LockstepCopyPerByte*cyclesOf(copied), emuMark, uint64(copied))
@@ -398,7 +387,7 @@ func (s *session) followerCallPipelined(t *machine.Thread, sl *followerSlot, nam
 	if obsRec != nil {
 		obsRec.Record(obs.EvEmulated, fv, t.TID(), name, uint64(copied), 0, ret)
 		obsRec.Metrics().Add("lockstep.emulated.bytes", uint64(copied))
-		obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
+		obsRec.RecordInAt(at.ts, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, at.a0, at.a1, 0)
 		obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, ret)
 	}
 	if faulted && s.mon.contain() {
@@ -434,83 +423,8 @@ func (s *session) dequeueRecord(t *machine.Thread, sl *followerSlot, name string
 			return rec
 		default:
 		}
-		if sl.detached() {
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		}
-		// The leader already left the region: the follower is executing
-		// calls the leader never made.
-		var snaps []obs.ThreadSnapshot
-		if s.mon.rec != nil {
-			snaps = []obs.ThreadSnapshot{s.mon.snapshot(obs.FollowerVariant(sl.id).String(), t)}
-		}
-		s.mon.raiseAlarm(Alarm{
-			Reason: AlarmSequenceLength, CallIndex: s.calls.Load(), Function: s.fn,
-			FollowerCall: name, Variant: VariantID(sl.id),
-			Detail: fmt.Sprintf("follower issued %s after leader finished the region", name),
-		}, snaps...)
-		s.diverged.Store(true)
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
-	}
-}
-
-// followerBarrier hands the follower's own callRecord back through the
-// barrier record's reply channel and completes a full rendezvous:
-// everything before this call has drained, so the leader's verdict
-// arrives exactly as in strict lockstep.
-func (s *session) followerBarrier(t *machine.Thread, sl *followerSlot, name string, args []uint64, rec *leaderRecord, lag clock.Cycles, arriveTS clock.Cycles, a0, a1 uint64) uint64 {
-	fv := obs.FollowerVariant(sl.id)
-	mshMark := s.lr.Mark()
-	frec := &callRecord{
-		name: name, args: args, wire: encodeCallRecord(name, args),
-		thread: t, resp: make(chan callResult, 1),
-		lag: lag,
-	}
-	lr := s.lr
-	var cls ledger.Class
-	var fwaitStart clock.Cycles
-	if lr != nil {
-		cls = ledger.ClassOf(name)
-		lr.Add(ledger.PhaseMarshal, fv, cls, 0, mshMark, uint64(len(frec.wire)))
-		fwaitStart = s.mon.m.Counter().Cycles()
-	}
-	rec.reply <- frec // cap 1: never blocks
-	obsRec := s.mon.rec
-	var res callResult
-	select {
-	case res = <-frec.resp:
-	case <-sl.detachCh:
-		// A buffered verdict beats the detach signal (select picks ready
-		// cases at random; the reply may already be in flight).
-		select {
-		case res = <-frec.resp:
-		default:
-			panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-		}
-	}
-	if lr != nil {
-		lr.Add(ledger.PhaseWait, fv, cls,
-			s.mon.m.Counter().Cycles()-fwaitStart, ledger.Mark{}, 0)
-	}
-	switch res.mode {
-	case modeLocal:
-		return s.mon.lib.Call(t, name, args)
-	case modeEmulated:
-		if obsRec != nil {
-			obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-			obsRec.RecordIn(t.Fn(), obs.EvLibcExit, fv, t.TID(), name, 0, 0, res.ret)
-		}
-		t.SetErrno(res.errno)
-		return res.ret
-	case modeDetach:
-		if obsRec != nil {
-			obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-		}
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDetached})
-	default:
-		if obsRec != nil {
-			obsRec.RecordInAt(arriveTS, t.Fn(), obs.EvLibcEnter, fv, t.TID(), name, a0, a1, 0)
-		}
-		panic(&machine.Crash{Thread: t.Name(), IP: t.IP(), Err: ErrDivergence})
+		s.leaderGone(t, sl, name) // never returns
+		return nil
 	}
 }
 
@@ -522,15 +436,11 @@ func (s *session) followerBarrier(t *machine.Thread, sl *followerSlot, name stri
 // snapshotted here — the leader is running ahead concurrently. Never
 // returns.
 func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, cause string) {
-	a.Variant = VariantID(sl.id)
+	a.Function, a.Variant = s.fn, VariantID(sl.id)
 	if s.liveAttached() > 1 {
 		a.Reason = AlarmOutvoted
 	}
-	var snaps []obs.ThreadSnapshot
-	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot(obs.FollowerVariant(sl.id).String(), t)}
-	}
-	s.mon.raiseAlarm(a, snaps...)
+	s.mon.raiseAlarm(a, s.mon.followerSnapshots(sl.id, t)...)
 	s.diverged.Store(true)
 	if a.Reason == AlarmOutvoted {
 		if obsRec := s.mon.rec; obsRec != nil {
@@ -543,44 +453,41 @@ func (s *session) drainDiverged(t *machine.Thread, sl *followerSlot, a Alarm, ca
 // followerTimedOut raises the drain-time deadline alarm with the stalled
 // call's own ordinal and severs the slot per the policy. Never returns.
 func (s *session) followerTimedOut(t *machine.Thread, sl *followerSlot, name string, ordinal uint64, lag clock.Cycles) {
-	deadline := s.mon.opts.RendezvousDeadline
-	var snaps []obs.ThreadSnapshot
-	if s.mon.rec != nil {
-		snaps = []obs.ThreadSnapshot{s.mon.snapshot(obs.FollowerVariant(sl.id).String(), t)}
-	}
 	s.mon.raiseAlarm(Alarm{
 		Reason: AlarmRendezvousTimeout, CallIndex: ordinal, Function: s.fn,
 		FollowerCall: name, Variant: VariantID(sl.id),
 		Detail: fmt.Sprintf("follower stalled %d cycles against a %d-cycle rendezvous deadline",
-			lag, deadline),
-	}, snaps...)
+			lag, s.mon.opts.RendezvousDeadline),
+	}, s.mon.followerSnapshots(sl.id, t)...)
 	s.diverged.Store(true)
 	s.mon.rec.Metrics().Inc("rendezvous.timeout")
 	s.mon.severFromFollower(s, sl, t, "rendezvous-timeout")
 }
 
-// captureOutputs snapshots the buffers the leader's call wrote through
-// its pointer arguments — the per-call rules of emulate (lockstep.go),
-// applied at call time so the record is immune to the leader overwriting
-// the buffer while it runs ahead. delta is the target slot's window
-// shift: epoll_data entries that point into the leader's space are
-// rebased into that slot's window here, while the leader's heap
-// watermark still reflects the moment of the call.
-func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta int64) []emuBuf {
+// captureOutputs snapshots the buffer the leader's call wrote through one
+// of its pointer arguments — the one table of per-call output-buffer rules
+// (Section 3.3, Table 1), for the strict rendezvous and the pipelined
+// result record alike. A pipelined leader captures at call time, so the
+// record is immune to the leader overwriting the buffer while it runs
+// ahead. delta is the target slot's window shift: epoll_data entries that
+// point into the leader's space are rebased into that slot's window here,
+// while the leader's heap watermark still reflects the moment of the call.
+// The zero emuBuf means the call wrote no buffer.
+func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta int64) emuBuf {
 	as := s.mon.m.AddressSpace()
-	grab := func(argIdx, n int) []emuBuf {
+	grab := func(argIdx, n int) emuBuf {
 		if n <= 0 {
-			return nil
+			return emuBuf{}
 		}
 		src := mem.Addr(argAt(args, argIdx))
 		if src == 0 {
-			return nil
+			return emuBuf{}
 		}
 		buf := make([]byte, n)
 		if err := as.ReadAt(src, buf); err != nil {
-			return nil
+			return emuBuf{}
 		}
-		return []emuBuf{{argIdx: argIdx, data: buf}}
+		return emuBuf{argIdx: argIdx, data: buf}
 	}
 	retN := 0
 	if int64(ret) > 0 {
@@ -599,9 +506,15 @@ func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta i
 		return grab(1, 64)
 	case "getsockopt":
 		return grab(2, 8)
-	case "accept4":
-		return nil // peer-address buffer unused by the simulated apps
+	case "ioctl":
+		// Special: the third argument is emulated only when it looks like
+		// a pointer into the process's address space (Section 3.3).
+		if s.inLeaderSpace(mem.Addr(argAt(args, 2))) {
+			return grab(2, 8)
+		}
 	case "epoll_wait", "epoll_pwait":
+		// Special: copy the events array, rebasing epoll_data entries that
+		// are pointers into the leader's space (Section 3.3).
 		src := mem.Addr(argAt(args, 1))
 		data := make([]byte, 0, retN*16)
 		for i := 0; i < retN; i++ {
@@ -615,31 +528,32 @@ func (s *session) captureOutputs(name string, args []uint64, ret uint64, delta i
 			}
 			data = append(data, entry[:]...)
 		}
-		if len(data) == 0 {
-			return nil
+		if len(data) > 0 {
+			return emuBuf{argIdx: 1, data: data}
 		}
-		return []emuBuf{{argIdx: 1, data: data}}
 	}
-	return nil
+	return emuBuf{} // accept4's peer-address buffer is unused by the simulated apps
 }
 
-// applyResult writes the decoded buffer snapshots into the follower's own
-// argument buffers, with the same fault attribution as the strict
-// emulate. The per-byte copy cost is charged to the follower thread —
-// off the leader's critical path, unlike strict mode where the copy
-// happens inside the rendezvous.
-func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, idx uint64, largs, fargs []uint64, bufs []emuBuf) (int, bool) {
+// applyResult writes output-buffer snapshots into the follower's own
+// argument buffers. A follower buffer that cannot take the copy raises
+// AlarmEmulationFault and reports faulted. The per-byte copy cost is
+// charged to t: the follower thread in pipelined mode, off the leader's
+// critical path, or nil in strict mode, where the copy happens inside the
+// rendezvous.
+func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, idx uint64, largs, fargs []uint64, bufs ...emuBuf) (copied int, faulted bool) {
 	as := s.mon.m.AddressSpace()
 	costs := s.mon.m.Costs()
-	copied := 0
-	faulted := false
 	for _, b := range bufs {
 		dst := mem.Addr(argAt(fargs, b.argIdx))
-		src := mem.Addr(argAt(largs, b.argIdx))
 		if dst == 0 || len(b.data) == 0 {
 			continue
 		}
 		if err := as.WriteAt(dst, b.data); err != nil {
+			// The follower's destination buffer is unmapped or unwritable
+			// — a corrupted follower. Attribute it precisely so replay
+			// diffing can tell it apart from the generic divergence the
+			// stale data would cause later.
 			s.mon.raiseAlarm(Alarm{
 				Reason: AlarmEmulationFault, CallIndex: idx, Function: s.fn,
 				LeaderCall: name, Variant: VariantID(sl.id),
@@ -650,11 +564,13 @@ func (s *session) applyResult(t *machine.Thread, sl *followerSlot, name string, 
 			faulted = true
 			continue
 		}
-		_ = as.CopyTaint(dst, src, len(b.data))
+		_ = as.CopyTaint(dst, mem.Addr(argAt(largs, b.argIdx)), len(b.data))
 		s.mon.m.ChargeThread(t, costs.LockstepCopyPerByte*cyclesOf(len(b.data)))
 		if s.mon.opts.Policy == PolicyRollback {
-			// Same redo capture as the strict emulate: the decoded result
-			// snapshot is owned by this record and never reused.
+			// The kernel-sourced bytes just landed in the follower's
+			// buffer; log them so a rollback can replay the post-snapshot
+			// libc tail. Each snapshot is owned by its capture or its
+			// decoded record and never reused.
 			s.mon.redo.Append(idx, name, dst, b.data)
 		}
 		copied += len(b.data)

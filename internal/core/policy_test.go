@@ -7,6 +7,8 @@ import (
 
 	"smvx/internal/boot"
 	"smvx/internal/obs"
+	"smvx/internal/sim/clock"
+	"smvx/internal/sim/kernel"
 	"smvx/internal/sim/machine"
 )
 
@@ -297,49 +299,98 @@ func TestHungFollowerTrippedByWatchdog(t *testing.T) {
 	}
 }
 
-// TestEmulationFaultAlarm points the follower's gettimeofday buffer at an
-// unmapped address: the emulation copy must raise AlarmEmulationFault with
-// its own reason rather than folding into a generic divergence.
+// TestEmulationFaultAlarm points a follower's output buffer at an
+// unmapped address, for a results call (gettimeofday) and a special call
+// with one ready event (epoll_wait), in both lockstep modes: the
+// emulation copy must raise AlarmEmulationFault with the call's own
+// ordinal rather than folding into a generic divergence or passing
+// silently, and — under kill-both — leave the region completing diverged
+// with the alarm unhandled.
 func TestEmulationFaultAlarm(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		policy DivergencePolicy
-	}{
-		{"kill-both", PolicyKillBoth},
-		{"leader-continue", PolicyLeaderContinue},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			env, mon, _ := policyApp(t, WithPolicy(tc.policy))
-			env.Prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
-				g := uint64(th.Global("g_buf"))
-				if th.Bias() != 0 {
-					g = 0x6f6f_0000_0000 // unmapped in every variant
-				}
-				th.Libc("gettimeofday", g, 0)
-				th.Libc("close", 0)
-				return 0
-			})
-			completed, runErr := runRegions(t, env, mon, "protected_func", 1)
-			if runErr != nil || completed != 1 {
-				t.Fatalf("completed %d/1, err=%v", completed, runErr)
-			}
-			var found *Alarm
-			for i, a := range mon.Alarms() {
-				if a.Reason == AlarmEmulationFault {
-					found = &mon.Alarms()[i]
-				}
-			}
-			if found == nil {
-				t.Fatalf("no AlarmEmulationFault; alarms = %v", mon.Alarms())
-			}
-			if found.Handled != (tc.policy != PolicyKillBoth) {
-				t.Errorf("Handled = %v under %s", found.Handled, tc.policy)
-			}
-			if tc.policy == PolicyKillBoth && mon.UnhandledAlarmCount() == 0 {
-				t.Error("kill-both must leave the alarm unhandled")
+	const unmapped = 0x6f6f_0000_0000 // unmapped in every variant
+	for _, policy := range []DivergencePolicy{PolicyKillBoth, PolicyLeaderContinue} {
+		t.Run(policy.String(), func(t *testing.T) {
+			for _, mode := range []LockstepMode{LockstepStrict, LockstepPipelined} {
+				t.Run(mode.String(), func(t *testing.T) {
+					for _, call := range []string{"gettimeofday", "epoll_wait"} {
+						t.Run(call, func(t *testing.T) {
+							env, mon, _ := policyApp(t, WithLockstepMode(mode), WithPolicy(policy))
+							var epfd uint64
+							if call == "epoll_wait" {
+								epfd = epollWithPendingClient(t, env)
+							}
+							env.Prog.MustDefine("protected_func", func(th *machine.Thread, args []uint64) uint64 {
+								g := uint64(th.Global("g_buf"))
+								if th.Bias() != 0 {
+									g = unmapped
+								}
+								if call == "epoll_wait" {
+									th.Libc("epoll_wait", epfd, g, 8, 0)
+								} else {
+									th.Libc("gettimeofday", g, 0)
+								}
+								th.Libc("close", 0)
+								return 0
+							})
+							completed, runErr := runRegions(t, env, mon, "protected_func", 1)
+							if runErr != nil || completed != 1 {
+								t.Fatalf("completed %d/1, err=%v", completed, runErr)
+							}
+							var found *Alarm
+							for i, a := range mon.Alarms() {
+								if a.Reason == AlarmEmulationFault {
+									found = &mon.Alarms()[i]
+								}
+							}
+							if found == nil {
+								t.Fatalf("no AlarmEmulationFault; alarms = %v", mon.Alarms())
+							}
+							if found.CallIndex != 1 || found.LeaderCall != call {
+								t.Errorf("alarm at call %d (%s), want 1 (%s)", found.CallIndex, found.LeaderCall, call)
+							}
+							if found.Handled != (policy != PolicyKillBoth) {
+								t.Errorf("Handled = %v under %s", found.Handled, policy)
+							}
+							if policy == PolicyKillBoth && mon.UnhandledAlarmCount() == 0 {
+								t.Error("kill-both must leave the alarm unhandled")
+							}
+						})
+					}
+				})
 			}
 		})
 	}
+}
+
+// epollWithPendingClient opens a listening socket outside any protected
+// region, registers it with a new epoll instance, and connects a client
+// without accepting it, so an epoll_wait on the returned descriptor
+// reports exactly one ready event.
+func epollWithPendingClient(t *testing.T, env *boot.Env) (epfd uint64) {
+	t.Helper()
+	const port = 9090
+	err := env.RunMain(func(th *machine.Thread) {
+		ev := th.Global("g_buf")
+		lfd := th.Libc("socket")
+		th.Libc("bind", lfd, port)
+		th.Libc("listen", lfd, 64)
+		epfd = th.Libc("epoll_create")
+		th.Store64(ev, uint64(kernel.EpollIn)) // struct epoll_event { events; data }
+		th.Store64(ev+8, lfd)
+		if th.Libc("epoll_ctl", epfd, uint64(kernel.EpollCtlAdd), lfd, uint64(ev)) != 0 {
+			t.Error("epoll_ctl failed")
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	client := env.Kernel.NewProcess(clock.NewCounter())
+	cfd, _ := client.Socket()
+	if e := client.Connect(cfd, port); e != kernel.OK {
+		t.Fatalf("client connect: %v", e)
+	}
+	t.Cleanup(func() { _ = client.Close(cfd) })
+	return epfd
 }
 
 // TestKillBothPreservesPaperBehaviour: under the default policy a divergence

@@ -81,8 +81,8 @@ type redoEntry struct {
 
 // RedoLog accumulates the emulation-buffer writes performed since the last
 // checkpoint — the post-snapshot libc tail a rollback replays. Appends
-// come from the leader (strict emulate) or the follower (pipelined
-// applyResult) goroutine; capture and replay happen with the other
+// come from applyResult on the leader (strict) or the follower
+// (pipelined) goroutine; capture and replay happen with the other
 // goroutine parked, but the mutex keeps every interleaving safe.
 type RedoLog struct {
 	mu      sync.Mutex

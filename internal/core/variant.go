@@ -331,7 +331,7 @@ func (mo *Monitor) Start(t *machine.Thread, fn string, args ...uint64) error {
 						mo.rec.Record(obs.EvPageFault, obs.FollowerVariant(sl.id), ft.TID(),
 							fe.Kind.String(), uint64(fe.Addr), 0, 0)
 					}
-					snaps = []obs.ThreadSnapshot{mo.snapshot(obs.FollowerVariant(sl.id).String(), ft)}
+					snaps = mo.followerSnapshots(sl.id, ft)
 				}
 				mo.raiseAlarm(Alarm{
 					Reason: AlarmFollowerFault, CallIndex: s.calls.Load(),

@@ -418,14 +418,27 @@ func (as *AddressSpace) read(a Addr, buf []byte, pkru *mpk.PKRU, wall bool) erro
 		return err
 	}
 	as.charge(as.costs.MemAccess*clock.Cycles(1+len(buf)/64), wall)
+	return as.copyOut(a, buf)
+}
+
+// copyOut copies len(buf) bytes at a out of the resident pages, faulting
+// missing pages in. Each page's lookup and copy run under the read lock,
+// so a concurrent write — which holds the write lock for its whole store
+// — never tears the copy.
+func (as *AddressSpace) copyOut(a Addr, buf []byte) error {
 	for off := 0; off < len(buf); {
-		pg, _, err := as.pageFor(a + Addr(off))
-		if err != nil {
+		addr := a + Addr(off)
+		as.mu.RLock()
+		if pg := as.pages[addr.PageBase()]; pg != nil && as.regionAtLocked(addr) != nil {
+			off += copy(buf[off:], pg.data[addr&(PageSize-1):])
+			as.mu.RUnlock()
+			continue
+		}
+		as.mu.RUnlock()
+		// Fault the page in (under the write lock); the next pass copies.
+		if _, _, err := as.pageFor(addr); err != nil {
 			return err
 		}
-		po := int((a + Addr(off)) & (PageSize - 1))
-		n := copy(buf[off:], pg.data[po:])
-		off += n
 	}
 	return nil
 }
@@ -510,16 +523,7 @@ func (as *AddressSpace) FetchCode(a Addr, buf []byte) error {
 		return err
 	}
 	as.charge(as.costs.MemAccess, true)
-	for off := 0; off < len(buf); {
-		pg, _, err := as.pageFor(a + Addr(off))
-		if err != nil {
-			return err
-		}
-		po := int((a + Addr(off)) & (PageSize - 1))
-		n := copy(buf[off:], pg.data[po:])
-		off += n
-	}
-	return nil
+	return as.copyOut(a, buf)
 }
 
 // ResidentPages returns the number of faulted-in pages: the simulated RSS
